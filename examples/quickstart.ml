@@ -32,11 +32,11 @@ let () =
       Printf.printf "mapped %d DDC pages at 0x%Lx\n" n_pages region;
 
       for i = 0 to n_pages - 1 do
-        Dilos.Kernel.write_u64 k ~core:0
+        Dilos.Cpu.write_u64 (Dilos.Kernel.cpu k) ~core:0
           (Int64.add region (Int64.of_int (i * 4096)))
           (Int64.of_int (i * i))
       done;
-      Dilos.Kernel.flush k ~core:0;
+      Dilos.Cpu.flush (Dilos.Kernel.cpu k) ~core:0;
       Printf.printf "populated; free local frames: %d\n"
         (Dilos.Kernel.free_frames k);
 
@@ -45,12 +45,12 @@ let () =
       let t0 = Dilos.Kernel.now k in
       for i = 0 to n_pages - 1 do
         let v =
-          Dilos.Kernel.read_u64 k ~core:0
+          Dilos.Cpu.read_u64 (Dilos.Kernel.cpu k) ~core:0
             (Int64.add region (Int64.of_int (i * 4096)))
         in
         if not (Int64.equal v (Int64.of_int (i * i))) then incr errors
       done;
-      Dilos.Kernel.flush k ~core:0;
+      Dilos.Cpu.flush (Dilos.Kernel.cpu k) ~core:0;
       let dt = Sim.Time.sub (Dilos.Kernel.now k) t0 in
 
       let st = Dilos.Kernel.stats k in

@@ -35,64 +35,36 @@ type ctx = {
   cores : int;
 }
 
-let memif_of_dilos k ~core =
-  let open Dilos.Kernel in
+(* Both paging kernels expose the same CPU front end; only allocation
+   differs (DiLOS's DDC allocator vs. Fastswap's glibc stand-in). *)
+let memif_of_cpu cpu ~kind ~core ~malloc ~free ~now =
+  let open Dilos.Cpu in
   {
-    Memif.kind = Memif.Dilos_backend;
-    malloc = (fun n -> ddc_malloc k ~core n);
-    free = (fun a -> ddc_free k ~core a);
-    read_u8 = (fun a -> read_u8 k ~core a);
-    read_u16 = (fun a -> read_u16 k ~core a);
-    read_u32 = (fun a -> read_u32 k ~core a);
-    read_u64 = (fun a -> read_u64 k ~core a);
-    write_u8 = (fun a v -> write_u8 k ~core a v);
-    write_u16 = (fun a v -> write_u16 k ~core a v);
-    write_u32 = (fun a v -> write_u32 k ~core a v);
-    write_u64 = (fun a v -> write_u64 k ~core a v);
-    read_bytes = (fun a b o l -> read_bytes k ~core a b o l);
-    write_bytes = (fun a b o l -> write_bytes k ~core a b o l);
-    read_u8_at = (fun a off -> read_u8_at k ~core a off);
-    read_u16_at = (fun a off -> read_u16_at k ~core a off);
-    read_u32_at = (fun a off -> read_u32_at k ~core a off);
-    read_u64_at = (fun a off -> read_u64_at k ~core a off);
-    write_u8_at = (fun a off v -> write_u8_at k ~core a off v);
-    write_u16_at = (fun a off v -> write_u16_at k ~core a off v);
-    write_u32_at = (fun a off v -> write_u32_at k ~core a off v);
-    write_u64_at = (fun a off v -> write_u64_at k ~core a off v);
-    compute = (fun ns -> compute k ~core ns);
-    flush = (fun () -> flush k ~core);
-    touch = (fun a -> touch k ~core a);
-    now = (fun () -> now k);
-  }
-
-let memif_of_fastswap k ~core =
-  let open Fastswap.Kernel in
-  {
-    Memif.kind = Memif.Fastswap_backend;
-    malloc = (fun n -> malloc k ~core n);
-    free = (fun a -> free k ~core a);
-    read_u8 = (fun a -> read_u8 k ~core a);
-    read_u16 = (fun a -> read_u16 k ~core a);
-    read_u32 = (fun a -> read_u32 k ~core a);
-    read_u64 = (fun a -> read_u64 k ~core a);
-    write_u8 = (fun a v -> write_u8 k ~core a v);
-    write_u16 = (fun a v -> write_u16 k ~core a v);
-    write_u32 = (fun a v -> write_u32 k ~core a v);
-    write_u64 = (fun a v -> write_u64 k ~core a v);
-    read_bytes = (fun a b o l -> read_bytes k ~core a b o l);
-    write_bytes = (fun a b o l -> write_bytes k ~core a b o l);
-    read_u8_at = (fun a off -> read_u8_at k ~core a off);
-    read_u16_at = (fun a off -> read_u16_at k ~core a off);
-    read_u32_at = (fun a off -> read_u32_at k ~core a off);
-    read_u64_at = (fun a off -> read_u64_at k ~core a off);
-    write_u8_at = (fun a off v -> write_u8_at k ~core a off v);
-    write_u16_at = (fun a off v -> write_u16_at k ~core a off v);
-    write_u32_at = (fun a off v -> write_u32_at k ~core a off v);
-    write_u64_at = (fun a off v -> write_u64_at k ~core a off v);
-    compute = (fun ns -> compute k ~core ns);
-    flush = (fun () -> flush k ~core);
-    touch = (fun a -> touch k ~core a);
-    now = (fun () -> now k);
+    Memif.kind;
+    malloc;
+    free;
+    read_u8 = (fun a -> read_u8 cpu ~core a);
+    read_u16 = (fun a -> read_u16 cpu ~core a);
+    read_u32 = (fun a -> read_u32 cpu ~core a);
+    read_u64 = (fun a -> read_u64 cpu ~core a);
+    write_u8 = (fun a v -> write_u8 cpu ~core a v);
+    write_u16 = (fun a v -> write_u16 cpu ~core a v);
+    write_u32 = (fun a v -> write_u32 cpu ~core a v);
+    write_u64 = (fun a v -> write_u64 cpu ~core a v);
+    read_bytes = (fun a b o l -> read_bytes cpu ~core a b o l);
+    write_bytes = (fun a b o l -> write_bytes cpu ~core a b o l);
+    read_u8_at = (fun a off -> read_u8_at cpu ~core a off);
+    read_u16_at = (fun a off -> read_u16_at cpu ~core a off);
+    read_u32_at = (fun a off -> read_u32_at cpu ~core a off);
+    read_u64_at = (fun a off -> read_u64_at cpu ~core a off);
+    write_u8_at = (fun a off v -> write_u8_at cpu ~core a off v);
+    write_u16_at = (fun a off v -> write_u16_at cpu ~core a off v);
+    write_u32_at = (fun a off v -> write_u32_at cpu ~core a off v);
+    write_u64_at = (fun a off v -> write_u64_at cpu ~core a off v);
+    compute = (fun ns -> compute cpu ~core ns);
+    flush = (fun () -> flush cpu ~core);
+    touch = (fun a -> touch cpu ~core a);
+    now;
   }
 
 let memif_of_aifm k ~core =
@@ -133,8 +105,18 @@ let memif_of_aifm k ~core =
 
 let memif_of_instance instance ~core =
   match instance with
-  | I_dilos k -> memif_of_dilos k ~core
-  | I_fastswap k -> memif_of_fastswap k ~core
+  | I_dilos k ->
+      let open Dilos.Kernel in
+      memif_of_cpu (cpu k) ~kind:Memif.Dilos_backend ~core
+        ~malloc:(fun n -> ddc_malloc k ~core n)
+        ~free:(fun a -> ddc_free k ~core a)
+        ~now:(fun () -> now k)
+  | I_fastswap k ->
+      let open Fastswap.Kernel in
+      memif_of_cpu (cpu k) ~kind:Memif.Fastswap_backend ~core
+        ~malloc:(fun n -> malloc k ~core n)
+        ~free:(fun a -> free k ~core a)
+        ~now:(fun () -> now k)
   | I_aifm k -> memif_of_aifm k ~core
 
 type 'a result = {

@@ -1,6 +1,8 @@
 (** The DiLOS kernel façade: boots the LibOS on a computing node,
     connects it to a memory node, and exposes the POSIX-flavoured
-    memory interface applications program against.
+    memory interface applications program against. Loads and stores
+    go through the shared CPU front end ({!cpu}), which calls back
+    into this kernel on a translation fault.
 
     The page fault handler lives here (§4.2): on a fault it checks one
     data structure — the unified page table — and dispatches on the
@@ -29,14 +31,6 @@ val default_config : config
 
 type t
 
-exception Segmentation_fault of int64
-
-exception Page_lost of int64
-(** A demand fetch for this address failed
-    {!Params.fault_refetch_max} consecutive times — e.g. every replica
-    of the page's shard is dead. Carries the faulting page's base
-    address. *)
-
 (** [boot ~eng ~server cfg] starts the LibOS. [nic_config] overrides
     the fabric's latency model — used by the NVMe-far-memory ablation
     (§5.1: "DiLOS' design would be valid for NVMe drives"). *)
@@ -56,6 +50,10 @@ val loader : t -> Loader.t
 val config : t -> config
 val now : t -> Sim.Time.t
 
+val cpu : t -> Cpu.t
+(** The CPU front end: every typed load/store, [compute], [flush] and
+    [touch] goes through it. *)
+
 (** {1 Memory management} *)
 
 val mmap : t -> len:int -> ddc:bool -> ?name:string -> unit -> int64
@@ -63,47 +61,6 @@ val munmap : t -> int64 -> unit
 val ddc_malloc : t -> core:int -> int -> int64
 val ddc_free : t -> core:int -> int64 -> unit
 val malloc_usable_size : t -> int64 -> int
-
-(** {1 Data path (call from a fiber)} *)
-
-val read_u8 : t -> core:int -> int64 -> int
-val read_u16 : t -> core:int -> int64 -> int
-val read_u32 : t -> core:int -> int64 -> int
-val read_u64 : t -> core:int -> int64 -> int64
-val write_u8 : t -> core:int -> int64 -> int -> unit
-val write_u16 : t -> core:int -> int64 -> int -> unit
-val write_u32 : t -> core:int -> int64 -> int -> unit
-val write_u64 : t -> core:int -> int64 -> int64 -> unit
-val read_bytes : t -> core:int -> int64 -> bytes -> int -> int -> unit
-val write_bytes : t -> core:int -> int64 -> bytes -> int -> int -> unit
-
-(** [_at] variants take a base address plus an [int] byte offset and
-    split the effective address with int arithmetic only — app hot
-    loops use them to walk an arena without boxing an [Int64] per
-    access. Semantics (including page-straddle checks and simulated
-    charges) are identical to the plain accessors at
-    [Int64.add base (Int64.of_int off)]. *)
-
-val read_u8_at : t -> core:int -> int64 -> int -> int
-val read_u16_at : t -> core:int -> int64 -> int -> int
-val read_u32_at : t -> core:int -> int64 -> int -> int
-val read_u64_at : t -> core:int -> int64 -> int -> int64
-val write_u8_at : t -> core:int -> int64 -> int -> int -> unit
-val write_u16_at : t -> core:int -> int64 -> int -> int -> unit
-val write_u32_at : t -> core:int -> int64 -> int -> int -> unit
-val write_u64_at : t -> core:int -> int64 -> int -> int64 -> unit
-
-val compute : t -> core:int -> int -> unit
-(** Charge [ns] of CPU work to the core (batched; see {!flush}). *)
-
-val flush : t -> core:int -> unit
-(** Synchronize the core's accumulated fast-path time with the engine
-    clock. Called automatically on faults and every ~10 us of
-    accumulated work. *)
-
-val touch : t -> core:int -> int64 -> unit
-(** Fault the page containing the address in (a load without reading
-    data). *)
 
 (** {1 Guides} *)
 

@@ -21,12 +21,6 @@ val default_config : config
 
 type t
 
-exception Segmentation_fault of int64
-
-exception Page_lost of int64
-(** Same contract as {!Dilos.Kernel.Page_lost}: the demand fetch
-    failed {!Dilos.Params.fault_refetch_max} consecutive times. *)
-
 val boot : eng:Sim.Engine.t -> server:Memnode.Server.t -> config -> t
 val shutdown : t -> unit
 
@@ -35,6 +29,12 @@ val stats : t -> Sim.Stats.t
 val fabric : t -> Rdma.Fabric.t
 val now : t -> Sim.Time.t
 
+val cpu : t -> Dilos.Cpu.t
+(** The CPU front end shared with DiLOS; only the fault handler and
+    the store hook (the swap-slot release on re-dirtying) differ.
+    Faults raise {!Dilos.Cpu.Segmentation_fault} and
+    {!Dilos.Cpu.Page_lost}. *)
+
 val mmap : t -> len:int -> ?name:string -> unit -> int64
 (** All Fastswap mappings are swap-backed (the cgroup limit decides
     what stays local). *)
@@ -42,33 +42,6 @@ val mmap : t -> len:int -> ?name:string -> unit -> int64
 val munmap : t -> int64 -> unit
 val malloc : t -> core:int -> int -> int64
 val free : t -> core:int -> int64 -> unit
-
-val read_u8 : t -> core:int -> int64 -> int
-val read_u16 : t -> core:int -> int64 -> int
-val read_u32 : t -> core:int -> int64 -> int
-val read_u64 : t -> core:int -> int64 -> int64
-val write_u8 : t -> core:int -> int64 -> int -> unit
-val write_u16 : t -> core:int -> int64 -> int -> unit
-val write_u32 : t -> core:int -> int64 -> int -> unit
-val write_u64 : t -> core:int -> int64 -> int64 -> unit
-val read_bytes : t -> core:int -> int64 -> bytes -> int -> int -> unit
-val write_bytes : t -> core:int -> int64 -> bytes -> int -> int -> unit
-
-(** [_at] variants: base address + [int] byte offset, split with int
-    arithmetic only (no boxed [Int64] per access); semantics identical
-    to the plain accessors at [Int64.add base (Int64.of_int off)]. *)
-
-val read_u8_at : t -> core:int -> int64 -> int -> int
-val read_u16_at : t -> core:int -> int64 -> int -> int
-val read_u32_at : t -> core:int -> int64 -> int -> int
-val read_u64_at : t -> core:int -> int64 -> int -> int64
-val write_u8_at : t -> core:int -> int64 -> int -> int -> unit
-val write_u16_at : t -> core:int -> int64 -> int -> int -> unit
-val write_u32_at : t -> core:int -> int64 -> int -> int -> unit
-val write_u64_at : t -> core:int -> int64 -> int -> int64 -> unit
-val compute : t -> core:int -> int -> unit
-val flush : t -> core:int -> unit
-val touch : t -> core:int -> int64 -> unit
 
 val free_frames : t -> int
 val swap_cache_size : t -> int

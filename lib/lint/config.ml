@@ -44,6 +44,7 @@ let classify path =
 let hot_modules =
   [
     "core/kernel.ml";
+    "core/cpu.ml";
     "core/page_manager.ml";
     "fastswap/kernel.ml";
     "aifm/runtime.ml";

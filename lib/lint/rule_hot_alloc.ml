@@ -21,7 +21,7 @@ let id = "hot-alloc"
 
 let doc =
   "Bytes.create/Bytes.make/Array.init are banned on the steady-state \
-   paths of hot modules (core/kernel, core/page_manager, \
+   paths of hot modules (core/kernel, core/cpu, core/page_manager, \
    fastswap/kernel, aifm/runtime, rdma/qp); allocate at boot (exempt: \
    boot/create/connect/make_* bindings) or pool the buffer"
 

@@ -14,8 +14,9 @@ let id = "stats-handle"
 
 let doc =
   "string-keyed Stats.incr/Stats.add are banned in hot modules \
-   (core/kernel, core/page_manager, fastswap/kernel, aifm/runtime, rdma/qp); \
-   resolve a handle at boot with Stats.counter and use cincr/cadd"
+   (core/kernel, core/cpu, core/page_manager, fastswap/kernel, \
+   aifm/runtime, rdma/qp); resolve a handle at boot with Stats.counter \
+   and use cincr/cadd"
 
 let is_string_stats p =
   (* Matches Stats.incr / Stats.add and any qualification of them

@@ -347,7 +347,7 @@ let extent_fire e =
   let raddr = Int64.add e.e_raddr0 (Int64.of_int (i * page_size)) in
   let unreachable =
     (* A dead replica set fails only this page; the chained siblings
-       still complete (mirroring [post_read_batch]'s independence). *)
+       still complete, as independently posted WRs would. *)
     try
       t.target.t_read raddr e.e_buf e.e_offs.(i) page_size;
       None
@@ -623,88 +623,14 @@ let post_read ?on_error ?fa t ~segs ~buf ~on_complete =
   post ?on_error ?fa t Nic.Read ~segs ~buf ~snap:empty_buf ~snap_base:0
     ~release_snap:false ~on_complete
 
-type read_wr = {
-  r_segs : seg list;
-  r_buf : Buf.t;
-  r_on_complete : unit -> unit;
-  r_on_error : (unit -> unit) option;
-}
-
-(* One doorbell for the whole chain. Per-WR service is unchanged:
-   every WR still pays its own occupancy and latency, so the simulated
-   timeline is identical to posting the WRs back-to-back at the same
-   instant (only the first WR of a back-to-back run can ever be
-   doorbell-limited; the rest start at [next_free] either way). What
-   batching saves is host work per WR — here, wall-clock — which the
-   [rdma_read_batches] counter makes visible next to [rdma_reads].
-   Under a fault plan each WR retries independently: a dead link does
-   not take its chain siblings down with it (only its own [r_on_error]
-   fires). *)
-let post_read_batch t wrs =
-  if wrs <> [] then begin
-    (match t.hstats with
-    | Some h -> Sim.Stats.cincr h.c_read_batches
-    | None -> ());
-    let now = Sim.Engine.now t.eng in
-    let posted = Sim.Time.add now (Nic.doorbell t.nic) in
-    if Trace.enabled cat_rdma then
-      Trace.instant cat_rdma ~name:"read_batch" ~track:t.trk
-        ~args:[ ("wrs", Trace.I (List.length wrs)) ]
-        ();
-    match t.faults with
-    | Some plan ->
-        List.iter
-          (fun wr ->
-            validate t wr.r_segs wr.r_buf;
-            let bytes_ = total_len wr.r_segs in
-            let segments = List.length wr.r_segs in
-            let transfer () =
-              List.iter
-                (fun s -> t.target.t_read s.raddr wr.r_buf s.loff s.len)
-                wr.r_segs
-            in
-            t.inflight <- t.inflight + 1;
-            attempt t plan Nic.Read ~bytes_ ~segments ~transfer
-              ~on_complete:wr.r_on_complete ~on_error:wr.r_on_error ~fa:None
-              ~posted ~try_no:1)
-          wrs
-    | None ->
-        List.iter
-          (fun wr ->
-            validate t wr.r_segs wr.r_buf;
-            let bytes_ = total_len wr.r_segs in
-            let segments = List.length wr.r_segs in
-            let start = Sim.Time.max posted t.next_free in
-            t.next_free <- Sim.Time.add start (occupancy t ~bytes_ ~segments);
-            let latency =
-              Nic.latency t.nic Nic.Read ~bytes_ ~segments
-                ~huge_pages:t.huge_pages
-            in
-            let completion =
-              Sim.Time.add (Sim.Time.add start latency) t.extra_completion_delay
-            in
-            t.inflight <- t.inflight + 1;
-            count t Nic.Read bytes_;
-            let c = comp_take t in
-            c.c_op <- Nic.Read;
-            c.c_bytes <- bytes_;
-            c.c_segments <- segments;
-            c.c_segs <- wr.r_segs;
-            c.c_buf <- wr.r_buf;
-            c.c_snap <- empty_buf;
-            c.c_snap_base <- 0;
-            c.c_release_snap <- false;
-            c.c_t0 <- now;
-            c.c_on_complete <- wr.r_on_complete;
-            c.c_on_error <- wr.r_on_error;
-            Sim.Engine.at t.eng completion c.c_fn)
-          wrs
-  end
-
-(* Batch bookkeeping for callers that post a fetch window through
-   [post_read_pages] / [post_read] directly instead of building
-   [read_wr] records: one doorbell's worth of counter + trace, exactly
-   what [post_read_batch] emits before its per-WR loop. *)
+(* Batch bookkeeping for a fetch window whose WRs go out through
+   [post_read_pages] / [post_read] at one instant: one doorbell's worth
+   of counter + trace. Per-WR service is unchanged — every WR still
+   pays its own occupancy and latency, and only the first WR of a
+   back-to-back run can ever be doorbell-limited — so the simulated
+   timeline is that of posting the WRs individually; what the chain
+   saves is host work per WR, which [rdma_read_batches] makes visible
+   next to [rdma_reads]. *)
 let note_read_batch t ~wrs =
   if wrs > 0 then begin
     (match t.hstats with
@@ -736,7 +662,7 @@ let note_read_batch t ~wrs =
    are not contiguous even when remote pages are); the array must stay
    untouched by the caller until the last page completes. Under a
    fault plan pages fall back to independent per-WR attempts with
-   bounded retry, as [post_read_batch] does. *)
+   bounded retry, as [post_read] does. *)
 let post_read_pages t ~raddr0 ~buf ~offs ~count ~on_page ~on_page_error =
   if count <= 0 then invalid_arg "Qp.post_read_pages: count must be positive";
   if count > Array.length offs then
@@ -774,8 +700,8 @@ let post_read_pages t ~raddr0 ~buf ~offs ~count ~on_page ~on_page_error =
           ~huge_pages:t.huge_pages
       in
       if not !coalescing then
-        (* Reference path: one engine event per page, exactly the
-           healthy [post_read_batch] loop. *)
+        (* Reference path: one engine event per page, exactly as
+           [count] back-to-back [post_read]s would post them. *)
         for i = 0 to count - 1 do
           let raddr = Int64.add raddr0 (Int64.of_int (i * page_size)) in
           let start = Sim.Time.max posted t.next_free in

@@ -1,4 +1,7 @@
 open Util
+module Cpu = Dilos.Cpu
+
+let cpu = Dilos.Kernel.cpu
 
 let page = Vmem.Addr.page_size
 
@@ -8,10 +11,10 @@ let page = Vmem.Addr.page_size
 let roundtrip_within_cache () =
   with_dilos (fun _eng k ->
       let a = Dilos.Kernel.mmap k ~len:(16 * page) ~ddc:true () in
-      Dilos.Kernel.write_u64 k ~core:0 a 0xCAFEBABEL;
-      Dilos.Kernel.write_u8 k ~core:0 (Int64.add a 100L) 42;
-      check_i64 "u64" 0xCAFEBABEL (Dilos.Kernel.read_u64 k ~core:0 a);
-      check_int "u8" 42 (Dilos.Kernel.read_u8 k ~core:0 (Int64.add a 100L)))
+      Cpu.write_u64 (cpu k) ~core:0 a 0xCAFEBABEL;
+      Cpu.write_u8 (cpu k) ~core:0 (Int64.add a 100L) 42;
+      check_i64 "u64" 0xCAFEBABEL (Cpu.read_u64 (cpu k) ~core:0 a);
+      check_int "u8" 42 (Cpu.read_u8 (cpu k) ~core:0 (Int64.add a 100L)))
 
 let roundtrip_through_eviction () =
   (* Working set 4x the local cache: every page is evicted and fetched
@@ -23,16 +26,16 @@ let roundtrip_through_eviction () =
       let a = Dilos.Kernel.mmap k ~len:(n_pages * page) ~ddc:true () in
       for i = 0 to n_pages - 1 do
         let addr = Int64.add a (Int64.of_int (i * page)) in
-        Dilos.Kernel.write_u64 k ~core:0 addr (Int64.of_int (i * 7));
-        Dilos.Kernel.write_u64 k ~core:0 (Int64.add addr 4088L)
+        Cpu.write_u64 (cpu k) ~core:0 addr (Int64.of_int (i * 7));
+        Cpu.write_u64 (cpu k) ~core:0 (Int64.add addr 4088L)
           (Int64.of_int (i * 13))
       done;
       for i = 0 to n_pages - 1 do
         let addr = Int64.add a (Int64.of_int (i * page)) in
         check_i64 "head survives eviction" (Int64.of_int (i * 7))
-          (Dilos.Kernel.read_u64 k ~core:0 addr);
+          (Cpu.read_u64 (cpu k) ~core:0 addr);
         check_i64 "tail survives eviction" (Int64.of_int (i * 13))
-          (Dilos.Kernel.read_u64 k ~core:0 (Int64.add addr 4088L))
+          (Cpu.read_u64 (cpu k) ~core:0 (Int64.add addr 4088L))
       done;
       check_bool "evictions happened" true
         (Sim.Stats.get (Dilos.Kernel.stats k) "evictions" > 0);
@@ -44,29 +47,29 @@ let rewrite_after_writeback () =
      not lose the second write. *)
   with_dilos ~local_mem:(256 * 1024) (fun eng k ->
       let a = Dilos.Kernel.mmap k ~len:page ~ddc:true () in
-      Dilos.Kernel.write_u64 k ~core:0 a 1L;
+      Cpu.write_u64 (cpu k) ~core:0 a 1L;
       (* Give the cleaner time to write the page back. *)
       Sim.Engine.sleep eng (Sim.Time.ms 1);
-      Dilos.Kernel.write_u64 k ~core:0 a 2L;
+      Cpu.write_u64 (cpu k) ~core:0 a 2L;
       Sim.Engine.sleep eng (Sim.Time.ms 1);
       (* Force it out and back. *)
       let filler = Dilos.Kernel.mmap k ~len:(80 * page) ~ddc:true () in
       for i = 0 to 79 do
-        Dilos.Kernel.write_u64 k ~core:0 (Int64.add filler (Int64.of_int (i * page))) 0L
+        Cpu.write_u64 (cpu k) ~core:0 (Int64.add filler (Int64.of_int (i * page))) 0L
       done;
-      check_i64 "second write survives" 2L (Dilos.Kernel.read_u64 k ~core:0 a))
+      check_i64 "second write survives" 2L (Cpu.read_u64 (cpu k) ~core:0 a))
 
 let segfault_on_unmapped () =
   with_dilos (fun _eng k ->
       try
-        ignore (Dilos.Kernel.read_u64 k ~core:0 0xDEAD000L);
+        ignore (Cpu.read_u64 (cpu k) ~core:0 0xDEAD000L);
         Alcotest.fail "expected segfault"
-      with Dilos.Kernel.Segmentation_fault _ -> ())
+      with Cpu.Segmentation_fault _ -> ())
 
 let zero_fill_reads_zero () =
   with_dilos (fun _eng k ->
       let a = Dilos.Kernel.mmap k ~len:page ~ddc:true () in
-      check_i64 "fresh page zero" 0L (Dilos.Kernel.read_u64 k ~core:0 a);
+      check_i64 "fresh page zero" 0L (Cpu.read_u64 (cpu k) ~core:0 a);
       check_int "zero-fill fault counted" 1
         (Sim.Stats.get (Dilos.Kernel.stats k) "zero_fill_faults"))
 
@@ -74,17 +77,26 @@ let bulk_roundtrip_cross_page () =
   with_dilos (fun _eng k ->
       let a = Dilos.Kernel.mmap k ~len:(3 * page) ~ddc:true () in
       let src = Bytes.init 6000 (fun i -> Char.chr (i land 0xFF)) in
-      Dilos.Kernel.write_bytes k ~core:0 (Int64.add a 100L) src 0 6000;
+      Cpu.write_bytes (cpu k) ~core:0 (Int64.add a 100L) src 0 6000;
       let dst = Bytes.create 6000 in
-      Dilos.Kernel.read_bytes k ~core:0 (Int64.add a 100L) dst 0 6000;
+      Cpu.read_bytes (cpu k) ~core:0 (Int64.add a 100L) dst 0 6000;
       Alcotest.(check bytes) "bulk crosses pages" src dst)
 
+(* Both paging kernels share one CPU front end, so a scalar access
+   straddling a page is rejected the same way under each, plain and
+   [_at] accessors alike. *)
 let scalar_straddle_rejected () =
+  let rejected cpu a =
+    let straddle = Invalid_argument "Cpu: scalar access straddles a page boundary" in
+    Alcotest.check_raises "straddle" straddle (fun () ->
+        ignore (Cpu.read_u64 cpu ~core:0 (Int64.add a 4090L)));
+    Alcotest.check_raises "straddle (_at)" straddle (fun () ->
+        Cpu.write_u32_at cpu ~core:0 a (page - 2) 7)
+  in
   with_dilos (fun _eng k ->
-      let a = Dilos.Kernel.mmap k ~len:(2 * page) ~ddc:true () in
-      Alcotest.check_raises "straddle"
-        (Invalid_argument "Kernel: scalar access straddles a page boundary")
-        (fun () -> ignore (Dilos.Kernel.read_u64 k ~core:0 (Int64.add a 4090L))))
+      rejected (cpu k) (Dilos.Kernel.mmap k ~len:(2 * page) ~ddc:true ()));
+  with_fastswap (fun _eng k ->
+      rejected (Fastswap.Kernel.cpu k) (Fastswap.Kernel.mmap k ~len:(2 * page) ()))
 
 let fault_latency_reasonable () =
   (* Major fault should land near the calibrated ~3.4us, far below
@@ -94,10 +106,10 @@ let fault_latency_reasonable () =
       let n = 128 in
       let a = Dilos.Kernel.mmap k ~len:(n * page) ~ddc:true () in
       for i = 0 to n - 1 do
-        Dilos.Kernel.write_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
+        Cpu.write_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
       done;
       for i = 0 to n - 1 do
-        ignore (Dilos.Kernel.read_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))))
+        ignore (Cpu.read_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))))
       done;
       let h = Sim.Stats.histogram (Dilos.Kernel.stats k) "fault_ns" in
       check_bool "some faults" true (Sim.Histogram.count h > 20);
@@ -114,11 +126,11 @@ let prefetch_reduces_major_faults () =
         let a = Dilos.Kernel.mmap k ~len:(n * page) ~ddc:true () in
         (* Populate, evict, then sequentially read. *)
         for i = 0 to n - 1 do
-          Dilos.Kernel.write_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
+          Cpu.write_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
         done;
         for i = 0 to n - 1 do
           ignore
-            (Dilos.Kernel.read_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))))
+            (Cpu.read_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))))
         done;
         Sim.Stats.get (Dilos.Kernel.stats k) "major_faults")
   in
@@ -140,10 +152,10 @@ let prefetched_pages_wait_not_refetch () =
       let n = 256 in
       let a = Dilos.Kernel.mmap k ~len:(n * page) ~ddc:true () in
       for i = 0 to n - 1 do
-        Dilos.Kernel.write_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
+        Cpu.write_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
       done;
       for i = 0 to n - 1 do
-        ignore (Dilos.Kernel.read_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))))
+        ignore (Cpu.read_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))))
       done;
       let st = Dilos.Kernel.stats k in
       let fetches = Sim.Stats.get st "rdma_reads" in
@@ -163,14 +175,14 @@ let multicore_shared_fetch () =
       let a = Dilos.Kernel.mmap k ~len:(200 * page) ~ddc:true () in
       (* Populate and force eviction of the first page. *)
       for i = 0 to 199 do
-        Dilos.Kernel.write_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))) 5L
+        Cpu.write_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))) 5L
       done;
-      Dilos.Kernel.flush k ~core:0;
+      Cpu.flush (cpu k) ~core:0;
       check_bool "page 0 evicted" true (Dilos.Kernel.page_tag k a <> Vmem.Pte.Local);
       let done_count = ref 0 in
       for core = 0 to 1 do
         Sim.Engine.spawn eng (fun () ->
-            check_i64 "value" 5L (Dilos.Kernel.read_u64 k ~core a);
+            check_i64 "value" 5L (Cpu.read_u64 (cpu k) ~core a);
             incr done_count)
       done;
       Sim.Condvar.wait_for (Sim.Condvar.create eng) (fun () -> true);
@@ -185,9 +197,9 @@ let munmap_frees_frames () =
       let free0 = Dilos.Kernel.free_frames k in
       let a = Dilos.Kernel.mmap k ~len:(8 * page) ~ddc:true () in
       for i = 0 to 7 do
-        Dilos.Kernel.write_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
+        Cpu.write_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
       done;
-      Dilos.Kernel.flush k ~core:0;
+      Cpu.flush (cpu k) ~core:0;
       check_int "8 frames used" (free0 - 8) (Dilos.Kernel.free_frames k);
       Dilos.Kernel.munmap k a;
       check_int "frames back" free0 (Dilos.Kernel.free_frames k))
@@ -200,10 +212,10 @@ let alloc_roundtrip () =
       let a = Dilos.Kernel.ddc_malloc k ~core:0 100 in
       let b = Dilos.Kernel.ddc_malloc k ~core:0 100 in
       check_bool "distinct" true (a <> b);
-      Dilos.Kernel.write_u64 k ~core:0 a 11L;
-      Dilos.Kernel.write_u64 k ~core:0 b 22L;
-      check_i64 "a" 11L (Dilos.Kernel.read_u64 k ~core:0 a);
-      check_i64 "b" 22L (Dilos.Kernel.read_u64 k ~core:0 b);
+      Cpu.write_u64 (cpu k) ~core:0 a 11L;
+      Cpu.write_u64 (cpu k) ~core:0 b 22L;
+      check_i64 "a" 11L (Cpu.read_u64 (cpu k) ~core:0 a);
+      check_i64 "b" 22L (Cpu.read_u64 (cpu k) ~core:0 b);
       check_int "usable size is class size" 128 (Dilos.Kernel.malloc_usable_size k a);
       Dilos.Kernel.ddc_free k ~core:0 a;
       Dilos.Kernel.ddc_free k ~core:0 b)
@@ -211,9 +223,9 @@ let alloc_roundtrip () =
 let alloc_large_objects () =
   with_dilos (fun _eng k ->
       let a = Dilos.Kernel.ddc_malloc k ~core:0 (3 * page) in
-      Dilos.Kernel.write_u64 k ~core:0 (Int64.add a (Int64.of_int (2 * page))) 7L;
+      Cpu.write_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (2 * page))) 7L;
       check_i64 "large tail" 7L
-        (Dilos.Kernel.read_u64 k ~core:0 (Int64.add a (Int64.of_int (2 * page))));
+        (Cpu.read_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (2 * page))));
       check_int "usable" (3 * page) (Dilos.Kernel.malloc_usable_size k a);
       Dilos.Kernel.ddc_free k ~core:0 a)
 
@@ -268,7 +280,7 @@ let guided_paging_preserves_live_data () =
       let n = 512 in
       let addrs = Array.init n (fun _ -> Dilos.Kernel.ddc_malloc k ~core:0 256) in
       Array.iteri
-        (fun i a -> Dilos.Kernel.write_u64 k ~core:0 a (Int64.of_int (i + 1)))
+        (fun i a -> Cpu.write_u64 (cpu k) ~core:0 a (Int64.of_int (i + 1)))
         addrs;
       (* Punch holes: free every other object. *)
       Array.iteri
@@ -277,13 +289,13 @@ let guided_paging_preserves_live_data () =
       (* Blow the cache so everything gets evicted via the guide. *)
       let filler = Dilos.Kernel.mmap k ~len:(96 * page) ~ddc:true () in
       for i = 0 to 95 do
-        Dilos.Kernel.write_u64 k ~core:0 (Int64.add filler (Int64.of_int (i * page))) 0L
+        Cpu.write_u64 (cpu k) ~core:0 (Int64.add filler (Int64.of_int (i * page))) 0L
       done;
       Array.iteri
         (fun i a ->
           if i mod 2 = 0 then
             check_i64 "live object intact" (Int64.of_int (i + 1))
-              (Dilos.Kernel.read_u64 k ~core:0 a))
+              (Cpu.read_u64 (cpu k) ~core:0 a))
         addrs)
 
 let guided_paging_saves_bandwidth () =
@@ -291,7 +303,7 @@ let guided_paging_saves_bandwidth () =
     with_dilos ~local_mem:(256 * 1024) ~guided (fun _eng k ->
         let n = 1024 in
         let addrs = Array.init n (fun _ -> Dilos.Kernel.ddc_malloc k ~core:0 256) in
-        Array.iter (fun a -> Dilos.Kernel.write_u64 k ~core:0 a 1L) addrs;
+        Array.iter (fun a -> Cpu.write_u64 (cpu k) ~core:0 a 1L) addrs;
         (* Free 75% -> pages are mostly dead. *)
         Array.iteri
           (fun i a -> if i mod 4 <> 0 then Dilos.Kernel.ddc_free k ~core:0 a)
@@ -299,13 +311,13 @@ let guided_paging_saves_bandwidth () =
         (* Force eviction, then read the survivors back. *)
         let filler = Dilos.Kernel.mmap k ~len:(96 * page) ~ddc:true () in
         for i = 0 to 95 do
-          Dilos.Kernel.write_u64 k ~core:0
+          Cpu.write_u64 (cpu k) ~core:0
             (Int64.add filler (Int64.of_int (i * page)))
             0L
         done;
         Array.iteri
           (fun i a ->
-            if i mod 4 = 0 then ignore (Dilos.Kernel.read_u64 k ~core:0 a))
+            if i mod 4 = 0 then ignore (Cpu.read_u64 (cpu k) ~core:0 a))
           addrs;
         let bw = Rdma.Fabric.bandwidth (Dilos.Kernel.fabric k) in
         Rdma.Bandwidth.total bw Rdma.Bandwidth.Rx)
@@ -332,11 +344,11 @@ let clamp_segments_caps_vector () =
 let subpage_fetch_returns_remote_data () =
   with_dilos ~local_mem:(256 * 1024) (fun eng k ->
       let a = Dilos.Kernel.mmap k ~len:page ~ddc:true () in
-      Dilos.Kernel.write_u64 k ~core:0 (Int64.add a 128L) 0x1234L;
+      Cpu.write_u64 (cpu k) ~core:0 (Int64.add a 128L) 0x1234L;
       (* Evict it. *)
       let filler = Dilos.Kernel.mmap k ~len:(80 * page) ~ddc:true () in
       for i = 0 to 79 do
-        Dilos.Kernel.write_u64 k ~core:0 (Int64.add filler (Int64.of_int (i * page))) 0L
+        Cpu.write_u64 (cpu k) ~core:0 (Int64.add filler (Int64.of_int (i * page))) 0L
       done;
       Sim.Engine.sleep eng (Sim.Time.ms 2);
       check_bool "evicted" true (Dilos.Kernel.page_tag k a <> Vmem.Pte.Local);
@@ -355,10 +367,10 @@ let subpage_fetch_returns_remote_data () =
 let guide_pf_prefetch_brings_page_in () =
   with_dilos ~local_mem:(256 * 1024) (fun eng k ->
       let a = Dilos.Kernel.mmap k ~len:page ~ddc:true () in
-      Dilos.Kernel.write_u64 k ~core:0 a 9L;
+      Cpu.write_u64 (cpu k) ~core:0 a 9L;
       let filler = Dilos.Kernel.mmap k ~len:(80 * page) ~ddc:true () in
       for i = 0 to 79 do
-        Dilos.Kernel.write_u64 k ~core:0 (Int64.add filler (Int64.of_int (i * page))) 0L
+        Cpu.write_u64 (cpu k) ~core:0 (Int64.add filler (Int64.of_int (i * page))) 0L
       done;
       Sim.Engine.sleep eng (Sim.Time.ms 2);
       check_bool "evicted first" true (Dilos.Kernel.page_tag k a <> Vmem.Pte.Local);

@@ -92,7 +92,7 @@ let different_seed_moves_the_kill () =
 
 let rf1_kill_loses_the_page () =
   match seq_drill ~replication:1 ~shards:2 () with
-  | exception Dilos.Kernel.Page_lost _ -> ()
+  | exception Dilos.Cpu.Page_lost _ -> ()
   | r ->
       Alcotest.failf
         "RF=1 drill should raise Page_lost, produced a result (match=%b)"

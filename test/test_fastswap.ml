@@ -1,4 +1,7 @@
 open Util
+module Cpu = Dilos.Cpu
+
+let cpu = Fastswap.Kernel.cpu
 
 let page = Vmem.Addr.page_size
 
@@ -7,13 +10,13 @@ let roundtrip_through_swap () =
       let n = 256 in
       let a = Fastswap.Kernel.mmap k ~len:(n * page) () in
       for i = 0 to n - 1 do
-        Fastswap.Kernel.write_u64 k ~core:0
+        Cpu.write_u64 (cpu k) ~core:0
           (Int64.add a (Int64.of_int (i * page)))
           (Int64.of_int (i * 3))
       done;
       for i = 0 to n - 1 do
         check_i64 "value survives swap" (Int64.of_int (i * 3))
-          (Fastswap.Kernel.read_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))))
+          (Cpu.read_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))))
       done;
       check_bool "evicted" true
         (Sim.Stats.get (Fastswap.Kernel.stats k) "evictions" > 0))
@@ -23,11 +26,11 @@ let readahead_generates_minor_faults () =
       let n = 512 in
       let a = Fastswap.Kernel.mmap k ~len:(n * page) () in
       for i = 0 to n - 1 do
-        Fastswap.Kernel.write_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
+        Cpu.write_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
       done;
       for i = 0 to n - 1 do
         ignore
-          (Fastswap.Kernel.read_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))))
+          (Cpu.read_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))))
       done;
       let st = Fastswap.Kernel.stats k in
       let major = Sim.Stats.get st "major_faults" in
@@ -44,11 +47,11 @@ let no_readahead_all_major () =
       let n = 256 in
       let a = Fastswap.Kernel.mmap k ~len:(n * page) () in
       for i = 0 to n - 1 do
-        Fastswap.Kernel.write_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
+        Cpu.write_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
       done;
       for i = 0 to n - 1 do
         ignore
-          (Fastswap.Kernel.read_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))))
+          (Cpu.read_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))))
       done;
       check_int "no minors without readahead" 0
         (Sim.Stats.get (Fastswap.Kernel.stats k) "minor_faults"))
@@ -61,13 +64,13 @@ let major_fault_slower_than_dilos () =
             let n = 128 in
             let a = Fastswap.Kernel.mmap k ~len:(n * page) () in
             for i = 0 to n - 1 do
-              Fastswap.Kernel.write_u64 k ~core:0
+              Cpu.write_u64 (cpu k) ~core:0
                 (Int64.add a (Int64.of_int (i * page)))
                 1L
             done;
             for i = 0 to n - 1 do
               ignore
-                (Fastswap.Kernel.read_u64 k ~core:0
+                (Cpu.read_u64 (cpu k) ~core:0
                    (Int64.add a (Int64.of_int (i * page))))
             done;
             Sim.Histogram.mean
@@ -78,11 +81,11 @@ let major_fault_slower_than_dilos () =
             let n = 128 in
             let a = Dilos.Kernel.mmap k ~len:(n * page) ~ddc:true () in
             for i = 0 to n - 1 do
-              Dilos.Kernel.write_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
+              Cpu.write_u64 (Dilos.Kernel.cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
             done;
             for i = 0 to n - 1 do
               ignore
-                (Dilos.Kernel.read_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))))
+                (Cpu.read_u64 (Dilos.Kernel.cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))))
             done;
             Sim.Histogram.mean (Sim.Stats.histogram (Dilos.Kernel.stats k) "fault_ns"))
   in
@@ -98,21 +101,21 @@ let swap_cache_drains () =
       let n = 64 in
       let a = Fastswap.Kernel.mmap k ~len:(n * page) () in
       for i = 0 to n - 1 do
-        Fastswap.Kernel.write_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
+        Cpu.write_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))) 1L
       done;
       Sim.Engine.sleep eng (Sim.Time.ms 1);
       (* Sequential read consumes readahead entries, so the cache stays
          small. *)
       for i = 0 to n - 1 do
         ignore
-          (Fastswap.Kernel.read_u64 k ~core:0 (Int64.add a (Int64.of_int (i * page))))
+          (Cpu.read_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * page))))
       done;
       check_bool "cache bounded" true (Fastswap.Kernel.swap_cache_size k < 16))
 
 let heap_reuse () =
   with_fastswap (fun _eng k ->
       let a = Fastswap.Kernel.malloc k ~core:0 1000 in
-      Fastswap.Kernel.write_u64 k ~core:0 a 1L;
+      Cpu.write_u64 (cpu k) ~core:0 a 1L;
       Fastswap.Kernel.free k ~core:0 a;
       let b = Fastswap.Kernel.malloc k ~core:0 1000 in
       check_i64 "mapping reused" a b)
@@ -120,9 +123,9 @@ let heap_reuse () =
 let segfault () =
   with_fastswap (fun _eng k ->
       try
-        ignore (Fastswap.Kernel.read_u64 k ~core:0 0xBAD000L);
+        ignore (Cpu.read_u64 (cpu k) ~core:0 0xBAD000L);
         Alcotest.fail "expected segfault"
-      with Fastswap.Kernel.Segmentation_fault _ -> ())
+      with Cpu.Segmentation_fault _ -> ())
 
 let suite =
   [

@@ -294,6 +294,15 @@ let classification () =
   check_bool "bench root" true ((classify "../bench/main.ml").root = Bench);
   check_bool "bin root" true ((classify "./bin/dilos_sim.ml").root = Bin);
   check_bool "hot module" true (is_hot (classify "lib/core/kernel.ml"));
+  (* The TLB hit path every paging-kernel access takes lives in Cpu:
+     R4/R7/R11 must keep covering it, and R9 roots its reachability
+     at every non-cold def of a hot module. *)
+  check_bool "cpu front end is hot" true (is_hot (classify "lib/core/cpu.ml"));
+  List.iter
+    (fun rule ->
+      check_bool ("cpu front end is hot for " ^ rule) true
+        (rule_enabled (classify "lib/core/cpu.ml") rule))
+    [ "stats-handle"; "hot-alloc"; "obs-boot-only" ];
   check_bool "cold module" false (is_hot (classify "lib/core/guide.ml"));
   check_bool "sim effects ok" true (effect_allowed (classify "lib/sim/engine.ml"));
   check_bool "apps effects not ok" false

@@ -4,6 +4,7 @@ let () =
       ("sim", Test_sim.suite);
       ("rdma", Test_rdma.suite);
       ("vmem", Test_vmem.suite);
+      ("cpu", Test_cpu.suite);
       ("dilos", Test_dilos.suite);
       ("page-manager", Test_page_manager.suite);
       ("prefetcher", Test_prefetcher.suite);

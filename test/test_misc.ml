@@ -1,4 +1,7 @@
 open Util
+module Cpu = Dilos.Cpu
+
+let cpu = Dilos.Kernel.cpu
 
 (* ------------------------------------------------------------------ *)
 (* Communication module *)
@@ -81,7 +84,7 @@ let memnode_serves_data () =
 let span_pool_reuses_mappings () =
   with_dilos (fun _eng k ->
       let a = Dilos.Kernel.ddc_malloc k ~core:0 (32 * 1024) in
-      Dilos.Kernel.write_u64 k ~core:0 a 7L;
+      Cpu.write_u64 (cpu k) ~core:0 a 7L;
       Dilos.Kernel.ddc_free k ~core:0 a;
       let b = Dilos.Kernel.ddc_malloc k ~core:0 (32 * 1024) in
       check_i64 "same span reused" a b;
@@ -145,13 +148,13 @@ let nvme_profile_slower () =
         let n = 1024 in
         let a = Dilos.Kernel.mmap k ~len:(n * 4096) ~ddc:true () in
         for i = 0 to n - 1 do
-          Dilos.Kernel.write_u64 k ~core:0 (Int64.add a (Int64.of_int (i * 4096))) 1L
+          Cpu.write_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * 4096))) 1L
         done;
         let t0 = Dilos.Kernel.now k in
         for i = 0 to n - 1 do
-          ignore (Dilos.Kernel.read_u64 k ~core:0 (Int64.add a (Int64.of_int (i * 4096))))
+          ignore (Cpu.read_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * 4096))))
         done;
-        Dilos.Kernel.flush k ~core:0;
+        Cpu.flush (cpu k) ~core:0;
         let dt = Sim.Time.sub (Dilos.Kernel.now k) t0 in
         Dilos.Kernel.shutdown k;
         dt)
@@ -283,10 +286,10 @@ let fault_histogram_sane () =
       let n = 256 in
       let a = Dilos.Kernel.mmap k ~len:(n * 4096) ~ddc:true () in
       for i = 0 to n - 1 do
-        Dilos.Kernel.write_u64 k ~core:0 (Int64.add a (Int64.of_int (i * 4096))) 1L
+        Cpu.write_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * 4096))) 1L
       done;
       for i = 0 to n - 1 do
-        ignore (Dilos.Kernel.read_u64 k ~core:0 (Int64.add a (Int64.of_int (i * 4096))))
+        ignore (Cpu.read_u64 (cpu k) ~core:0 (Int64.add a (Int64.of_int (i * 4096))))
       done;
       let h = Sim.Stats.histogram (Dilos.Kernel.stats k) "fault_ns" in
       let p50 = Sim.Histogram.quantile h 0.5 in

@@ -14,57 +14,52 @@ let npages = 192
 let region = npages * page
 let n_ops = 3_000
 
-type ops = {
-  read_u64 : int64 -> int64;
-  write_u64 : int64 -> int64 -> unit;
-  read_bytes : int64 -> bytes -> int -> int -> unit;
-  write_bytes : int64 -> bytes -> int -> int -> unit;
-}
-
-(* One random op against both the kernel and the reference buffer;
-   reads are checked on the spot. *)
-let step rng ~base ~refbuf ops i =
+(* One random op against both the kernel (through its CPU front end)
+   and the reference buffer; reads are checked on the spot. *)
+let step rng ~base ~refbuf cpu i =
   let addr off = Int64.add base (Int64.of_int off) in
   match Sim.Rng.int rng 4 with
   | 0 ->
       let off = Sim.Rng.int rng (region / 8) * 8 in
       let v = Sim.Rng.next64 rng in
-      ops.write_u64 (addr off) v;
+      Dilos.Cpu.write_u64 cpu ~core:0 (addr off) v;
       Bytes.set_int64_le refbuf off v
   | 1 ->
       let off = Sim.Rng.int rng (region / 8) * 8 in
       check_i64
         (Printf.sprintf "op %d: u64 at %d" i off)
         (Bytes.get_int64_le refbuf off)
-        (ops.read_u64 (addr off))
+        (Dilos.Cpu.read_u64 cpu ~core:0 (addr off))
   | 2 ->
       (* Bulk write, possibly straddling page boundaries. *)
       let len = 1 + Sim.Rng.int rng 1024 in
       let off = Sim.Rng.int rng (region - len) in
       let payload = Bytes.create len in
       Sim.Rng.fill_bytes rng payload;
-      ops.write_bytes (addr off) payload 0 len;
+      Dilos.Cpu.write_bytes cpu ~core:0 (addr off) payload 0 len;
       Bytes.blit payload 0 refbuf off len
   | _ ->
       let len = 1 + Sim.Rng.int rng 1024 in
       let off = Sim.Rng.int rng (region - len) in
       let got = Bytes.create len in
-      ops.read_bytes (addr off) got 0 len;
+      Dilos.Cpu.read_bytes cpu ~core:0 (addr off) got 0 len;
       Alcotest.(check bytes)
         (Printf.sprintf "op %d: bulk at %d+%d" i off len)
         (Bytes.sub refbuf off len) got
 
-let soak ~seed ~base ops =
+let soak ~seed ~base cpu =
   let refbuf = Bytes.make region '\000' in
   let rng = Sim.Rng.create seed in
   for i = 0 to n_ops - 1 do
-    step rng ~base ~refbuf ops i
+    step rng ~base ~refbuf cpu i
   done;
   (* Full read-back: every page, including ones evicted long ago and
      ones never touched (which must still read as zeroes). *)
   let got = Bytes.create page in
   for p = 0 to npages - 1 do
-    ops.read_bytes (Int64.add base (Int64.of_int (p * page))) got 0 page;
+    Dilos.Cpu.read_bytes cpu ~core:0
+      (Int64.add base (Int64.of_int (p * page)))
+      got 0 page;
     Alcotest.(check bytes)
       (Printf.sprintf "final page %d" p)
       (Bytes.sub refbuf (p * page) page)
@@ -86,13 +81,7 @@ let dilos_soak ?fault_spec ?fault_seed ?shards ?replication
   with_dilos ~local_mem ~prefetch ?fault_spec ?fault_seed ?shards ?replication
     (fun _eng k ->
       let base = Dilos.Kernel.mmap k ~len:region ~ddc:true () in
-      soak ~seed ~base
-        {
-          read_u64 = Dilos.Kernel.read_u64 k ~core:0;
-          write_u64 = Dilos.Kernel.write_u64 k ~core:0;
-          read_bytes = Dilos.Kernel.read_bytes k ~core:0;
-          write_bytes = Dilos.Kernel.write_bytes k ~core:0;
-        };
+      soak ~seed ~base (Dilos.Kernel.cpu k);
       Dilos.Kernel.quiesce k;
       if expect_failover then assert_drill_landed (Dilos.Kernel.stats k))
 
@@ -101,13 +90,7 @@ let fastswap_soak ?fault_spec ?fault_seed ?shards ?replication
   with_fastswap ~local_mem ?fault_spec ?fault_seed ?shards ?replication
     (fun _eng k ->
       let base = Fastswap.Kernel.mmap k ~len:region () in
-      soak ~seed ~base
-        {
-          read_u64 = Fastswap.Kernel.read_u64 k ~core:0;
-          write_u64 = Fastswap.Kernel.write_u64 k ~core:0;
-          read_bytes = Fastswap.Kernel.read_bytes k ~core:0;
-          write_bytes = Fastswap.Kernel.write_bytes k ~core:0;
-        };
+      soak ~seed ~base (Fastswap.Kernel.cpu k);
       Fastswap.Kernel.quiesce k;
       if expect_failover then assert_drill_landed (Fastswap.Kernel.stats k))
 
