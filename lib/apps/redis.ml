@@ -49,7 +49,7 @@ let set t ~key ~value =
   let sds = Sds.create t.m value in
   Dict.insert t.dict ~key ~value:(robj_create t type_string sds)
 
-let get t key =
+let get_into t key buf =
   match Dict.find t.dict key with
   | None -> None
   | Some o ->
@@ -59,8 +59,12 @@ let get t key =
         (* Hook point: the guide learns the SDS address before the
            value bytes are touched. *)
         t.fire hook_get_sds sds;
-        Some (Sds.get t.m sds)
+        Some (Sds.read_into t.m sds buf)
       end
+
+let get t key =
+  let buf = ref Bytes.empty in
+  match get_into t key buf with Some _ -> Some !buf | None -> None
 
 let del t key =
   match Dict.remove t.dict key with

@@ -15,6 +15,13 @@ val mem : t -> Memif.t
 
 val set : t -> key:bytes -> value:bytes -> unit
 val get : t -> bytes -> bytes option
+
+val get_into : t -> bytes -> bytes ref -> int option
+(** [get] reading the value into a reused buffer (see
+    {!Sds.read_into}): [Some n] with the value in the first [n] bytes
+    of [!buf], which may have been replaced by a longer buffer. The
+    Memif traffic and the hook are exactly {!get}'s. *)
+
 val del : t -> bytes -> bool
 val rpush : t -> key:bytes -> bytes -> unit
 val lrange : t -> key:bytes -> count:int -> bytes list

@@ -73,8 +73,8 @@ let fill_value v ~index =
     off := !off + page_bytes
   done
 
-let verify_value v ~index =
-  let n = Bytes.length v in
+let verify_value v ~len:n ~index =
+  if n < 0 || n > Bytes.length v then invalid_arg "Redis_bench.verify_value: len";
   let ok = ref true in
   let off = ref 0 in
   while !ok && !off + 8 <= n do
@@ -103,7 +103,7 @@ let run_get (ctx : Harness.ctx) ~keys ~size ~queries ~seed =
     let i = Sim.Rng.int rng keys in
     let r0 = m.Memif.now () in
     (match Redis.get rds (key_of i) with
-    | Some v -> assert (verify_value v ~index:i)
+    | Some v -> assert (verify_value v ~len:(Bytes.length v) ~index:i)
     | None -> assert false);
     m.Memif.flush ();
     Sim.Histogram.add h (Int64.to_int (Sim.Time.sub (m.Memif.now ()) r0))
@@ -184,7 +184,7 @@ let run_del_get_bandwidth (ctx : Harness.ctx) ~keys ~value_bytes ~del_fraction
     (fun i ->
       if alive.(i) then
         match Redis.get rds (key_of i) with
-        | Some b -> assert (verify_value b ~index:i)
+        | Some b -> assert (verify_value b ~len:(Bytes.length b) ~index:i)
         | None -> assert false)
     order;
   m.Memif.flush ();

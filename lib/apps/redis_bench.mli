@@ -47,8 +47,10 @@ val fill_value : bytes -> index:int -> unit
     boundary, so every page of a multi-page value is independently
     checkable. *)
 
-val verify_value : bytes -> index:int -> bool
-(** Check every page-boundary sentinel written by {!fill_value}. *)
+val verify_value : bytes -> len:int -> index:int -> bool
+(** Check every page-boundary sentinel written by {!fill_value} in the
+    first [len] bytes, so a reused reply buffer's stale tail is never
+    read. @raise Invalid_argument unless [0 <= len <= Bytes.length]. *)
 
 val key_of : int -> bytes
 (** The canonical benchmark key for index [i] ("key:%010d"), shared

@@ -13,14 +13,23 @@ let create (mem : Memif.t) payload =
 let len (mem : Memif.t) base = mem.Memif.read_u32_at base 0
 let data_addr base = Int64.add base (Int64.of_int header_size)
 
-(* [get] materializes the string for the caller, who owns the result
-   (Redis GET replies escape the fault path); a pooled buffer would
-   alias across requests. Callers that only *compare* should read into
-   their own scratch instead (see Dict.key_equals). *)
-let get (mem : Memif.t) base =
+(* Doubling growth keeps this on the cold-constructor path (as
+   Dict.make_scratch): a reused reply buffer is replaced at most
+   O(log max_len) times, and a fresh one grows to exactly [len]. *)
+let make_reply ~old len = Bytes.create (Int.max len (2 * old))
+
+let read_into (mem : Memif.t) base buf =
   let n = len mem base in
-  let b = (Bytes.create n [@lint.allow "hot-alloc-path"]) in
-  mem.Memif.read_bytes (data_addr base) b 0 n;
-  b
+  if Bytes.length !buf < n then buf := make_reply ~old:(Bytes.length !buf) n;
+  mem.Memif.read_bytes (data_addr base) !buf 0 n;
+  n
+
+(* [get] materializes the string for the caller, who owns the result.
+   Callers on a steady-state path reuse one buffer via [read_into]
+   instead (Serving's workers; see also Dict.key_equals). *)
+let get mem base =
+  let buf = ref Bytes.empty in
+  ignore (read_into mem base buf : int);
+  !buf
 
 let free (mem : Memif.t) base = mem.Memif.free base

@@ -163,6 +163,10 @@ let run (ctx : Harness.ctx) cfg =
       Sim.Condvar.broadcast cv);
   (* Workers: drain until the generator closes and the queue is dry. *)
   for _ = 1 to cfg.workers do
+    (* One reply buffer per worker, reused by every GET: a fresh
+       page-sized [bytes] per request would go straight to the major
+       heap. [Redis.get_into] grows it if a value is longer. *)
+    let reply = ref (Bytes.create 4096) in
     Sim.Engine.spawn eng ~name:"serve-worker" (fun () ->
         let rec loop () =
           Sim.Condvar.wait_for cv (fun () ->
@@ -180,8 +184,9 @@ let run (ctx : Harness.ctx) cfg =
             | W.Stream.Get -> (
                 incr gets;
                 Obs.Registry.cincr ob_gets;
-                match Redis.get rds (Redis_bench.key_of p.key) with
-                | Some v -> assert (Redis_bench.verify_value v ~index:p.key)
+                match Redis.get_into rds (Redis_bench.key_of p.key) reply with
+                | Some n ->
+                    assert (Redis_bench.verify_value !reply ~len:n ~index:p.key)
                 | None -> assert false)
             | W.Stream.Set ->
                 incr sets;

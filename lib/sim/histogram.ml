@@ -5,8 +5,7 @@ type t = {
   mutable total : int;
   mutable minv : int;
   mutable maxv : int;
-  mutable sum : float;
-  mutable isum : int;
+  mutable sum : int;
 }
 
 let create () =
@@ -15,8 +14,7 @@ let create () =
     total = 0;
     minv = max_int;
     maxv = 0;
-    sum = 0.;
-    isum = 0;
+    sum = 0;
   }
 
 let floor_log2 v =
@@ -42,18 +40,18 @@ let value_of idx =
 
 let add t v =
   let v = if v < 0 then 0 else v in
-  t.buckets.(index_of v) <- t.buckets.(index_of v) + 1;
+  let i = index_of v in
+  t.buckets.(i) <- t.buckets.(i) + 1;
   t.total <- t.total + 1;
   if v < t.minv then t.minv <- v;
   if v > t.maxv then t.maxv <- v;
-  t.sum <- t.sum +. float_of_int v;
-  t.isum <- t.isum + v
+  t.sum <- t.sum + v
 
 let count t = t.total
 let min_value t = if t.total = 0 then 0 else t.minv
 let max_value t = t.maxv
-let mean t = if t.total = 0 then 0. else t.sum /. float_of_int t.total
-let sum t = t.isum
+let mean t = if t.total = 0 then 0. else float_of_int t.sum /. float_of_int t.total
+let sum t = t.sum
 
 let quantile t q =
   if t.total = 0 then 0
@@ -84,8 +82,7 @@ let merge_into ~dst src =
   if src.total > 0 then begin
     if src.minv < dst.minv then dst.minv <- src.minv;
     if src.maxv > dst.maxv then dst.maxv <- src.maxv;
-    dst.sum <- dst.sum +. src.sum;
-    dst.isum <- dst.isum + src.isum
+    dst.sum <- dst.sum + src.sum
   end
 
 let reset t =
@@ -93,5 +90,4 @@ let reset t =
   t.total <- 0;
   t.minv <- max_int;
   t.maxv <- 0;
-  t.sum <- 0.;
-  t.isum <- 0
+  t.sum <- 0

@@ -13,6 +13,10 @@ val count : t -> int
 val min_value : t -> int
 val max_value : t -> int
 val mean : t -> float
+(** [sum t / count t] as a float, 0. when empty. While the sum
+    stays below 2^53 this is bit-identical to accumulating each sample
+    as a float, since every partial sum is then exactly representable;
+    {!add} thus keeps no float field and boxes nothing. *)
 
 val sum : t -> int
 (** Exact integer sum of all recorded samples. The Observatory profile

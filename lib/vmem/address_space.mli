@@ -21,13 +21,18 @@ val mmap : t -> len:int -> ddc:bool -> ?name:string -> unit -> int64
     consecutive mappings. Returns the base address. *)
 
 val munmap : t -> int64 -> vma
-(** Remove the mapping starting exactly at the given base.
+(** Remove the mapping starting exactly at the given base: a binary
+    search, then the later mappings shift down one slot.
     @raise Not_found otherwise. *)
 
 val find : t -> int64 -> vma option
-(** The mapping containing an address, if any. *)
+(** The mapping containing an address, if any. O(log n) in the number
+    of live mappings: they are kept in a base-sorted array. *)
 
 val is_ddc : t -> int64 -> bool
+(** Whether an address lies in a MAP_DDC mapping. O(log n) and
+    allocation-free: it runs for every prefetch candidate. *)
+
 val vmas : t -> vma list
 (** Mappings sorted by base address. *)
 

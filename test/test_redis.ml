@@ -1,8 +1,8 @@
 open Util
 
 let run_on ?(system = Apps.Harness.Dilos Dilos.Kernel.Readahead)
-    ?(local_mem = 4 * 1024 * 1024) f =
-  (Apps.Harness.run system ~local_mem f).Apps.Harness.value
+    ?(local_mem = 4 * 1024 * 1024) ?remote_size f =
+  (Apps.Harness.run system ~local_mem ?remote_size f).Apps.Harness.value
 
 (* ------------------------------------------------------------------ *)
 (* SDS *)
@@ -203,6 +203,63 @@ let redis_survives_eviction () =
         | None -> Alcotest.fail "lost key"
       done)
 
+(* The serving path's read-into GET: one buffer across requests, grown
+   only for a longer value, verified over the reply's own length. *)
+let redis_get_into_reuses_buffer () =
+  (* 512 MiB of memnode covers the DDC heap, which starts at 256 MiB. *)
+  run_on ~remote_size:(Int64.shift_left 1L 29) (fun ctx ->
+      let r = Apps.Redis.create ctx ~keyspace_hint:64 in
+      let mem = Apps.Redis.mem r in
+      let sds = ref 0L in
+      (match ctx.Apps.Harness.instance with
+      | Apps.Harness.I_dilos k ->
+          Dilos.Loader.register_hook (Dilos.Kernel.loader k)
+            Apps.Redis.hook_get_sds (fun a -> sds := a)
+      | Apps.Harness.I_fastswap _ | Apps.Harness.I_aifm _ ->
+          Alcotest.fail "expected a DiLOS instance");
+      let key = Apps.Redis_bench.key_of in
+      List.iter
+        (fun (i, n) ->
+          let v = Bytes.create n in
+          Apps.Redis_bench.fill_value v ~index:i;
+          Apps.Redis.set r ~key:(key i) ~value:v)
+        [ (1, 3 * 4096); (2, 1000) ];
+      let buf = ref (Bytes.create 4096) in
+      let read i =
+        match Apps.Redis.get_into r (key i) buf with
+        | Some n -> n
+        | None -> Alcotest.fail "key lost"
+      in
+      let same_as_get i n =
+        Alcotest.(check (option bytes))
+          (Printf.sprintf "key %d equals Redis.get" i)
+          (Apps.Redis.get r (key i))
+          (Some (Bytes.sub !buf 0 n))
+      in
+      let n1 = read 1 in
+      check_int "3-page length" (3 * 4096) n1;
+      same_as_get 1 n1;
+      let grown = !buf in
+      let n2 = read 2 in
+      check_int "short length" 1000 n2;
+      check_bool "a shorter value reuses the buffer" true (!buf == grown);
+      same_as_get 2 n2;
+      check_bool "short value verifies over its length" true
+        (Apps.Redis_bench.verify_value !buf ~len:n2 ~index:2);
+      check_bool "the stale tail is another value's" false
+        (Apps.Redis_bench.verify_value !buf ~len:(Bytes.length !buf) ~index:2);
+      Alcotest.(check (option int)) "missing key" None
+        (Apps.Redis.get_into r (Bytes.of_string "nope") buf);
+      (* Flip a byte of key 1's second-page sentinel in simulated
+         memory: the serving check must catch it. *)
+      ignore (read 1 : int);
+      let data = Apps.Sds.data_addr !sds in
+      mem.Apps.Memif.write_u8_at data 4096
+        (mem.Apps.Memif.read_u8_at data 4096 lxor 0xFF);
+      let n = read 1 in
+      check_bool "corrupted sentinel fails the serving check" false
+        (Apps.Redis_bench.verify_value !buf ~len:n ~index:1))
+
 (* ------------------------------------------------------------------ *)
 (* Workload drivers *)
 
@@ -329,23 +386,23 @@ let sentinel_roundtrip_and_detects_corruption () =
   let v = Bytes.create 20_000 in
   Apps.Redis_bench.fill_value v ~index:37;
   check_bool "fresh value verifies" true
-    (Apps.Redis_bench.verify_value v ~index:37);
+    (Apps.Redis_bench.verify_value v ~len:20_000 ~index:37);
   check_bool "wrong index rejected" false
-    (Apps.Redis_bench.verify_value v ~index:38);
+    (Apps.Redis_bench.verify_value v ~len:20_000 ~index:38);
   (* Corrupt one byte inside the THIRD page's sentinel: a first-page
      check alone would miss it. *)
   let saved = Bytes.get v 8192 in
   Bytes.set v 8192 (Char.chr (Char.code saved lxor 0xFF));
   check_bool "page-3 corruption detected" false
-    (Apps.Redis_bench.verify_value v ~index:37);
+    (Apps.Redis_bench.verify_value v ~len:20_000 ~index:37);
   Bytes.set v 8192 saved;
   check_bool "restored value verifies" true
-    (Apps.Redis_bench.verify_value v ~index:37);
+    (Apps.Redis_bench.verify_value v ~len:20_000 ~index:37);
   (* Small values (no room for a sentinel) still roundtrip. *)
   let small = Bytes.create 5 in
   Apps.Redis_bench.fill_value small ~index:2;
   check_bool "tiny value verifies" true
-    (Apps.Redis_bench.verify_value small ~index:2)
+    (Apps.Redis_bench.verify_value small ~len:5 ~index:2)
 
 let get_bench_verifies_across_eviction () =
   (* 200 x 8KB values >> 512KB local: every value round-trips through
@@ -381,6 +438,7 @@ let suite =
     quick "redis set/get/del" redis_set_get_del;
     quick "redis lists" redis_lists;
     quick "redis survives eviction" redis_survives_eviction;
+    quick "redis get_into reuses one buffer" redis_get_into_reuses_buffer;
     quick "get bench runs" get_bench_runs;
     quick "lrange bench runs" lrange_bench_runs;
     quick "guide activates and helps lrange" guide_activates_and_helps_lrange;

@@ -198,6 +198,24 @@ let aspace_munmap () =
   Alcotest.check_raises "double munmap" Not_found (fun () ->
       ignore (Vmem.Address_space.munmap a r))
 
+(* is_ddc runs for every prefetch candidate: over thousands of
+   mappings it must neither scan them nor allocate. *)
+let aspace_is_ddc_allocation_free () =
+  let a = Vmem.Address_space.create () in
+  let bases =
+    Array.init 4096 (fun i -> Vmem.Address_space.mmap a ~len:4096 ~ddc:(i land 1 = 0) ())
+  in
+  let probes = Array.map (fun b -> Int64.add b 100L) bases in
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10 do
+    Array.iter (fun p -> if Vmem.Address_space.is_ddc a p then incr hits) probes
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_int "every even mapping is DDC" (10 * 2048) !hits;
+  check_bool (Printf.sprintf "%.0f minor words for 40960 lookups" words) true
+    (words < 64.)
+
 let suite =
   [
     quick "addr basics" addr_basics;
@@ -220,4 +238,5 @@ let suite =
     quick "aspace mmap layout" aspace_mmap_layout;
     quick "aspace find" aspace_find;
     quick "aspace munmap" aspace_munmap;
+    quick "aspace is_ddc allocation-free" aspace_is_ddc_allocation_free;
   ]

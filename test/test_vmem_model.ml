@@ -152,32 +152,99 @@ let mmu_faults_do_not_touch_pte () =
 (* ------------------------------------------------------------------ *)
 (* Address space vs a sorted-range model *)
 
-type as_op = Mmap of int * bool | Munmap_nth of int | Find of int
+(* Sequences run to hundreds of live mappings (the array index starts
+   at 8 slots and doubles), unmap at both ends and in the middle, and
+   probe interiors, guard pages, [top] and addresses below the base. *)
+type as_op =
+  | Mmap of int * bool
+  | Munmap_first
+  | Munmap_last
+  | Munmap_nth of int
+  | Munmap_gone of int  (** a base already unmapped: must raise *)
+  | Find of int  (** interior or the guard page after the nth mapping *)
+  | Find_guard of int  (** strictly inside the nth mapping's guard page *)
+  | Find_top
+  | Find_below of int
 
 let as_op_gen =
   QCheck.Gen.(
     frequency
       [
-        (4, map2 (fun pages ddc -> Mmap (pages, ddc)) (int_range 1 64) bool);
-        (2, map (fun i -> Munmap_nth i) (int_bound 20));
-        (3, map (fun i -> Find i) (int_bound 200));
+        (10, map2 (fun pages ddc -> Mmap (pages, ddc)) (int_range 1 16) bool);
+        (1, return Munmap_first);
+        (1, return Munmap_last);
+        (1, map (fun i -> Munmap_nth i) (int_bound 1000));
+        (1, map (fun i -> Munmap_gone i) (int_bound 1000));
+        (3, map (fun i -> Find i) (int_bound 100_000));
+        (1, map (fun i -> Find_guard i) (int_bound 100_000));
+        (1, return Find_top);
+        (1, map (fun i -> Find_below i) (int_bound 4096));
       ])
 
 let as_op_print = function
   | Mmap (p, d) -> Printf.sprintf "Mmap(%d pages, ddc=%b)" p d
+  | Munmap_first -> "Munmap_first"
+  | Munmap_last -> "Munmap_last"
   | Munmap_nth i -> Printf.sprintf "Munmap#%d" i
+  | Munmap_gone i -> Printf.sprintf "Munmap_gone#%d" i
   | Find i -> Printf.sprintf "Find#%d" i
+  | Find_guard i -> Printf.sprintf "Find_guard#%d" i
+  | Find_top -> "Find_top"
+  | Find_below i -> Printf.sprintf "Find_below#%d" i
+
+let as_ops_gen = QCheck.Gen.(list_size (int_range 0 600) as_op_gen)
 
 let address_space_model_qcheck =
   QCheck.Test.make ~name:"address space agrees with range-list model" ~count:300
-    (QCheck.make
-       QCheck.Gen.(list_size (int_range 0 40) as_op_gen)
+    (QCheck.make as_ops_gen
        ~print:(fun l -> String.concat "; " (List.map as_op_print l)))
     (fun ops ->
-      let sp = Vmem.Address_space.create () in
+      let base0 = 0x10000000L in
+      let sp = Vmem.Address_space.create ~base:base0 () in
       let model = ref [] (* (base, len, ddc) sorted by base *) in
+      let gone = ref [] (* bases unmapped so far *) in
       let ok = ref true in
       let check b = if not b then ok := false in
+      let rec insert ((b, _, _) as r) = function
+        | ((b', _, _) as r') :: rest when Int64.compare b' b < 0 ->
+            r' :: insert r rest
+        | l -> r :: l
+      in
+      let probe addr =
+        let expect =
+          List.find_opt
+            (fun (b, l, _) ->
+              Int64.compare b addr <= 0
+              && Int64.compare addr (Int64.add b (Int64.of_int l)) < 0)
+            !model
+        in
+        (match (Vmem.Address_space.find sp addr, expect) with
+        | None, None -> ()
+        | Some vma, Some (b, l, d) ->
+            check (Int64.equal vma.Vmem.Address_space.base b);
+            check (Int64.equal vma.Vmem.Address_space.len (Int64.of_int l));
+            check (vma.Vmem.Address_space.ddc = d)
+        | _ -> check false);
+        check
+          (Vmem.Address_space.is_ddc sp addr
+          = match expect with Some (_, _, d) -> d | None -> false)
+      in
+      let unmap n =
+        let base, len, _ = List.nth !model n in
+        let vma = Vmem.Address_space.munmap sp base in
+        check (Int64.equal vma.Vmem.Address_space.base base);
+        check (Int64.equal vma.Vmem.Address_space.len (Int64.of_int len));
+        model := List.filter (fun (b, _, _) -> not (Int64.equal b base)) !model;
+        gone := base :: !gone;
+        (* The whole range, including its first and last byte, is gone. *)
+        probe base;
+        probe (Int64.add base (Int64.of_int (len - 1)))
+      in
+      let nth_range i =
+        match !model with
+        | [] -> None
+        | l -> Some (List.nth l (i mod List.length l))
+      in
       List.iter
         (fun op ->
           match op with
@@ -193,45 +260,38 @@ let address_space_model_qcheck =
                      let h = Int64.add b (Int64.of_int l) in
                      Int64.compare hi b <= 0 || Int64.compare h base <= 0)
                    !model);
-              model :=
-                List.sort
-                  (fun (a, _, _) (b, _, _) -> Int64.compare a b)
-                  ((base, len, ddc) :: !model)
+              model := insert (base, len, ddc) !model
+          | Munmap_first -> if !model <> [] then unmap 0
+          | Munmap_last ->
+              if !model <> [] then unmap (List.length !model - 1)
           | Munmap_nth i ->
-              if !model <> [] then begin
-                let n = i mod List.length !model in
-                let base, len, _ = List.nth !model n in
-                let vma = Vmem.Address_space.munmap sp base in
-                check (Int64.equal vma.Vmem.Address_space.base base);
-                check (Int64.equal vma.Vmem.Address_space.len (Int64.of_int len));
-                model := List.filter (fun (b, _, _) -> not (Int64.equal b base)) !model
-              end
-          | Find i ->
-              (* Probe interior, boundary and gap addresses. *)
-              let addr =
-                match !model with
-                | [] -> Int64.of_int (i * 4096)
-                | l ->
-                    let b, len, _ = List.nth l (i mod List.length l) in
-                    Int64.add b (Int64.of_int (i * 977 mod (len + 4096)))
-              in
-              let expect =
-                List.find_opt
-                  (fun (b, l, _) ->
-                    Int64.compare b addr <= 0
-                    && Int64.compare addr (Int64.add b (Int64.of_int l)) < 0)
-                  !model
-              in
-              (match (Vmem.Address_space.find sp addr, expect) with
-              | None, None -> ()
-              | Some vma, Some (b, l, d) ->
-                  check (Int64.equal vma.Vmem.Address_space.base b);
-                  check (Int64.equal vma.Vmem.Address_space.len (Int64.of_int l));
-                  check (vma.Vmem.Address_space.ddc = d)
-              | _ -> check false);
-              check
-                (Vmem.Address_space.is_ddc sp addr
-                = (match expect with Some (_, _, d) -> d | None -> false)))
+              if !model <> [] then unmap (i mod List.length !model)
+          | Munmap_gone i -> (
+              match !gone with
+              | [] -> ()
+              | l -> (
+                  let base = List.nth l (i mod List.length l) in
+                  try
+                    ignore (Vmem.Address_space.munmap sp base);
+                    check false
+                  with Not_found -> ()))
+          | Find i -> (
+              match nth_range i with
+              | None -> probe (Int64.add base0 (Int64.of_int (i * 4096)))
+              | Some (b, len, _) ->
+                  probe (Int64.add b (Int64.of_int (i * 977 mod (len + 4096)))))
+          | Find_guard i -> (
+              match nth_range i with
+              | None -> ()
+              | Some (b, len, _) ->
+                  probe (Int64.add b (Int64.of_int (len + (i mod 4096)))))
+          | Find_top ->
+              let top = Vmem.Address_space.top sp in
+              probe top;
+              probe (Int64.pred top)
+          | Find_below i ->
+              probe (Int64.sub base0 (Int64.of_int (i + 1)));
+              probe (Int64.of_int i))
         ops;
       (* Final structural invariants: sorted bases, guard gap between
          neighbours, model agreement. *)
@@ -256,6 +316,24 @@ let address_space_model_qcheck =
       gaps vmas;
       !ok)
 
+(* The generator must reach the sizes the property is meant to cover:
+   live mappings in the hundreds, far past the index's initial 8 slots. *)
+let address_space_gen_reaches_hundreds () =
+  let rand = Random.State.make [| 13 |] in
+  let peak = ref 0 in
+  for _ = 1 to 20 do
+    let live = ref 0 in
+    List.iter
+      (function
+        | Mmap _ ->
+            incr live;
+            peak := Int.max !peak !live
+        | Munmap_first | Munmap_last | Munmap_nth _ -> if !live > 0 then decr live
+        | Munmap_gone _ | Find _ | Find_guard _ | Find_top | Find_below _ -> ())
+      (as_ops_gen rand)
+  done;
+  check_bool "peak live mappings >= 150" true (!peak >= 150)
+
 let address_space_munmap_missing () =
   let sp = Vmem.Address_space.create () in
   let base = Vmem.Address_space.mmap sp ~len:4096 ~ddc:true () in
@@ -272,5 +350,7 @@ let suite =
     QCheck_alcotest.to_alcotest mmu_ad_bits_qcheck;
     quick "mmu faults leave ptes untouched" mmu_faults_do_not_touch_pte;
     QCheck_alcotest.to_alcotest address_space_model_qcheck;
+    quick "address space generator reaches hundreds of mappings"
+      address_space_gen_reaches_hundreds;
     quick "munmap of unknown base raises" address_space_munmap_missing;
   ]
