@@ -515,11 +515,11 @@ let handle_fault t cs vpn =
   | Vmem.Pte.Remote | Vmem.Pte.Action -> major_fault t cs vpn pte
 
 (* The CPU's store hook: every store that sets a dirty bit is a
-   (possibly redundant) hint for the cleaner — overcounting is fine.
-   The first store through a read-loaded TLB entry also pays the
-   hardware walker's dirty-bit update. *)
-let note_store t cs _vpn tlb_hit =
-  Page_manager.note_dirtied t.pm;
+   (possibly redundant) clean->dirty notice for the cleaner —
+   overcounting is fine. The first store through a read-loaded TLB
+   entry also pays the hardware walker's dirty-bit update. *)
+let note_store t cs vpn tlb_hit =
+  Page_manager.note_dirtied t.pm vpn;
   if tlb_hit then Cpu.charge t.cpu cs 5
 
 let boot ~eng ~server ?nic_config (cfg : config) =

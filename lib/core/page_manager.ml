@@ -1,16 +1,44 @@
+(* Int-keyed tables for the per-page bookkeeping below. None of them
+   is ever iterated, so the hash only has to spread keys: a
+   multiplicative mix puts entropy into the low bits the table indexes
+   by, even for page-strided vpns. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = (x * 0x9E3779B97F4A7C1) lsr 17
+end)
+
 (* The LRU clock: a FIFO ring of VPNs with membership tracking so a
-   page is queued at most once. *)
+   page is queued at most once. Each entry carries a logical sequence
+   number ([popped + len] when pushed), so a queued vpn's position is
+   [seq - popped] in O(1).
+
+   [prefix] is the page manager's clean-prefix cursor, kept here
+   because every pop must shift it: no entry before it is [Local] and
+   dirty. [rewind] pulls it back to a vpn that just became dirty. *)
 module Clock = struct
   type t = {
-    mutable data : int array;
+    mutable data : int array; (* capacity stays a power of two *)
     mutable head : int;
     mutable len : int;
-    queued : (int, unit) Hashtbl.t;
+    mutable popped : int;
+    mutable prefix : int;
+    queued : int Itbl.t; (* vpn -> seq *)
   }
 
-  let create () = { data = Array.make 256 0; head = 0; len = 0; queued = Hashtbl.create 256 }
+  let create () =
+    {
+      data = Array.make 256 0;
+      head = 0;
+      len = 0;
+      popped = 0;
+      prefix = 0;
+      queued = Itbl.create 256;
+    }
+
   let length t = t.len
-  let mem t vpn = Hashtbl.mem t.queued vpn
+  let mem t vpn = Itbl.mem t.queued vpn
 
   let push t vpn =
     if not (mem t vpn) then begin
@@ -18,27 +46,35 @@ module Clock = struct
       if t.len = cap then begin
         let nd = Array.make (cap * 2) 0 in
         for i = 0 to t.len - 1 do
-          nd.(i) <- t.data.((t.head + i) mod cap)
+          nd.(i) <- t.data.((t.head + i) land (cap - 1))
         done;
         t.data <- nd;
         t.head <- 0
       end;
-      t.data.((t.head + t.len) mod Array.length t.data) <- vpn;
-      t.len <- t.len + 1;
-      Hashtbl.replace t.queued vpn ()
+      t.data.((t.head + t.len) land (Array.length t.data - 1)) <- vpn;
+      Itbl.replace t.queued vpn (t.popped + t.len);
+      t.len <- t.len + 1
     end
 
   let pop t =
     if t.len = 0 then None
     else begin
       let vpn = t.data.(t.head) in
-      t.head <- (t.head + 1) mod Array.length t.data;
+      t.head <- (t.head + 1) land (Array.length t.data - 1);
       t.len <- t.len - 1;
-      Hashtbl.remove t.queued vpn;
+      t.popped <- t.popped + 1;
+      if t.prefix > 0 then t.prefix <- t.prefix - 1;
+      Itbl.remove t.queued vpn;
       Some vpn
     end
 
-  let peek_nth t i = if i >= t.len then None else Some t.data.((t.head + i) mod Array.length t.data)
+  (* [i < length t]. *)
+  let nth t i = t.data.((t.head + i) land (Array.length t.data - 1))
+
+  let rewind t vpn =
+    match Itbl.find t.queued vpn with
+    | seq -> if seq - t.popped < t.prefix then t.prefix <- seq - t.popped
+    | exception Not_found -> ()
 end
 
 (* Reclaim-path stats cells, resolved once at [create]: eviction and
@@ -61,15 +97,18 @@ type t = {
   evict_qp : Rdma.Qp.t;
   reclaim_guide : Guide.reclaim_guide option;
   clock : Clock.t;
-  vector_log : (int, (int * int) list) Hashtbl.t;
+  vector_log : (int * int) list Itbl.t;
   mutable next_log_id : int;
-  wb_inflight : (int, unit) Hashtbl.t;
+  wb_inflight : unit Itbl.t;
   mutable invalidate : int -> unit;
   (* Conservative count of dirty resident pages (may overcount, never
-     undercounts): gates the cleaner's clock scan, which is pure host
-     work and O(clock length) when every page is clean. An overcount
-     self-heals when a full scan finds nothing to write. *)
+     undercounts): gates the cleaner pass, so dirty pages it must skip
+     (write-back in flight, or no live data) are not re-probed every
+     period. An overcount self-heals when a full scan finds nothing to
+     write. *)
   mutable dirty_hint : int;
+  (* Host-side diagnostic: clock entries the cleaner has examined. *)
+  mutable probes : int;
   frames_avail : Sim.Condvar.t;
   reclaim_work : Sim.Condvar.t;
   wb_done : Sim.Condvar.t;
@@ -108,11 +147,12 @@ let create ~eng ~stats ~pt ~frames ~evict_qp ?reclaim_guide () =
     evict_qp;
     reclaim_guide;
     clock = Clock.create ();
-    vector_log = Hashtbl.create 64;
+    vector_log = Itbl.create 64;
     next_log_id = 1;
-    wb_inflight = Hashtbl.create 16;
+    wb_inflight = Itbl.create 16;
     invalidate = (fun _ -> ());
     dirty_hint = 0;
+    probes = 0;
     frames_avail = Sim.Condvar.create eng;
     reclaim_work = Sim.Condvar.create eng;
     wb_done = Sim.Condvar.create eng;
@@ -123,27 +163,30 @@ let create ~eng ~stats ~pt ~frames ~evict_qp ?reclaim_guide () =
 
 let set_invalidate t f = t.invalidate <- f
 let free_frames t = Vmem.Frame.free_count t.frames
+let cleaner_probes t = t.probes
 
-(* Called on every (possibly redundant) clean->dirty transition the
-   kernel's store path observes. Redundant calls only overcount. *)
-let note_dirtied t = t.dirty_hint <- t.dirty_hint + 1
+(* Every clean->dirty transition of a page lands here: it bumps the
+   hint and pulls the clean-prefix cursor back to the page's clock
+   slot. Redundant calls only overcount the hint. *)
+let note_dirtied t vpn =
+  t.dirty_hint <- t.dirty_hint + 1;
+  Clock.rewind t.clock vpn
 
 let note_mapped t vpn =
-  if Vmem.Pte.dirty (Vmem.Page_table.get t.pt vpn) then
-    t.dirty_hint <- t.dirty_hint + 1;
-  Clock.push t.clock vpn
+  Clock.push t.clock vpn;
+  if Vmem.Pte.dirty (Vmem.Page_table.get t.pt vpn) then note_dirtied t vpn
 
 let vector_segments t ~payload =
-  match Hashtbl.find_opt t.vector_log payload with
+  match Itbl.find_opt t.vector_log payload with
   | Some segs ->
-      Hashtbl.remove t.vector_log payload;
+      Itbl.remove t.vector_log payload;
       segs
   | None -> invalid_arg "Page_manager.vector_segments: unknown payload"
 
 let log_vector t segs =
   let id = t.next_log_id in
   t.next_log_id <- t.next_log_id + 1;
-  Hashtbl.replace t.vector_log id segs;
+  Itbl.replace t.vector_log id segs;
   id
 
 let guide_segments t vpn =
@@ -179,9 +222,9 @@ let drop_without_write t vpn pte =
    clean-then-drop path from the periodic cleaner (which leaves the
    page mapped). *)
 let writeback t vpn pte ~then_evict =
-  if not (Hashtbl.mem t.wb_inflight vpn) then begin
+  if not (Itbl.mem t.wb_inflight vpn) then begin
     let frame = Vmem.Pte.frame pte in
-    Hashtbl.replace t.wb_inflight vpn ();
+    Itbl.replace t.wb_inflight vpn ();
     (* Clear dirty before the copy is snapshotted: a store racing with
        the write-back must re-dirty the page so we notice. *)
     Vmem.Page_table.update t.pt vpn Vmem.Pte.clear_dirty;
@@ -221,20 +264,20 @@ let writeback t vpn pte ~then_evict =
        back on the clock for a later attempt. Reclaim skips wb_inflight
        pages, so nobody can have dropped the frame meanwhile. *)
     let on_error () =
-      Hashtbl.remove t.wb_inflight vpn;
+      Itbl.remove t.wb_inflight vpn;
       Sim.Stats.cincr t.hot.c_wb_failures;
       (match Vmem.Pte.tag (Vmem.Page_table.get t.pt vpn) with
       | Vmem.Pte.Local ->
           Vmem.Page_table.update t.pt vpn Vmem.Pte.set_dirty;
-          t.dirty_hint <- t.dirty_hint + 1;
-          Clock.push t.clock vpn
+          Clock.push t.clock vpn;
+          note_dirtied t vpn
       | Vmem.Pte.Unmapped | Vmem.Pte.Remote | Vmem.Pte.Fetching
       | Vmem.Pte.Action ->
           ());
       Sim.Condvar.broadcast t.wb_done
     in
     Rdma.Qp.post_write ~on_error t.evict_qp ~segs ~buf ~on_complete:(fun () ->
-        Hashtbl.remove t.wb_inflight vpn;
+        Itbl.remove t.wb_inflight vpn;
         Sim.Stats.cincr t.hot.c_writebacks;
         (if then_evict then
            let pte' = Vmem.Page_table.get t.pt vpn in
@@ -274,7 +317,7 @@ let clock_step t =
           Clock.push t.clock vpn;
           false
       | Vmem.Pte.Local ->
-          if Hashtbl.mem t.wb_inflight vpn then begin
+          if Itbl.mem t.wb_inflight vpn then begin
             Clock.push t.clock vpn;
             false
           end
@@ -304,7 +347,7 @@ let reclaim_until t target =
     else begin
       incr no_progress;
       if !no_progress > Clock.length t.clock + 1 then
-        if Hashtbl.length t.wb_inflight > 0 then begin
+        if Itbl.length t.wb_inflight > 0 then begin
           (* Everything evictable is already being written back; wait
              for a completion rather than spinning. *)
           Sim.Condvar.wait t.wb_done;
@@ -325,6 +368,42 @@ let reclaimer_fiber t () =
     else Sim.Condvar.wait t.reclaim_work
   done
 
+(* One cleaner pass: write back up to [cleaner_batch] dirty pages,
+   starting at the clean-prefix cursor. Entries before it fail the
+   filter below (none is Local and dirty), so this picks exactly the
+   pages a scan from the clock head would. The cursor then advances
+   over every leading entry left not Local-and-dirty; a posted
+   write-back qualifies, as [writeback] clears the dirty bit before
+   returning. Nothing in the loop suspends, so no pop can shift the
+   clock under [i]. *)
+let cleaner_pass t =
+  let c = t.clock in
+  let scanned = ref 0 and i = ref c.Clock.prefix in
+  while !scanned < Params.cleaner_batch && !i < Clock.length c do
+    let vpn = Clock.nth c !i in
+    let pte = Vmem.Page_table.get t.pt vpn in
+    t.probes <- t.probes + 1;
+    let dirty = Vmem.Pte.tag pte = Vmem.Pte.Local && Vmem.Pte.dirty pte in
+    let left_dirty =
+      if
+        dirty
+        && (not (Itbl.mem t.wb_inflight vpn))
+        && guide_segments t vpn <> Some []
+      then begin
+        writeback t vpn pte ~then_evict:false;
+        incr scanned;
+        false
+      end
+      else dirty
+    in
+    if (not left_dirty) && !i = c.Clock.prefix then c.Clock.prefix <- !i + 1;
+    incr i
+  done;
+  (* Ground truth from a complete scan: nothing dirty (in-flight
+     write-backs were dirty-cleared when posted). *)
+  if !scanned = 0 && !i >= Clock.length c then t.dirty_hint <- 0;
+  !scanned
+
 let cleaner_fiber t () =
   while t.running do
     Sim.Engine.sleep t.eng Params.cleaner_period;
@@ -332,28 +411,8 @@ let cleaner_fiber t () =
        effect: a scan that finds nothing posts no write-backs and
        sleeps for zero scanned pages. *)
     if t.running && t.dirty_hint > 0 then begin
-      let scanned = ref 0 and i = ref 0 in
-      while !scanned < Params.cleaner_batch && !i < Clock.length t.clock do
-        (match Clock.peek_nth t.clock !i with
-        | None -> ()
-        | Some vpn ->
-            let pte = Vmem.Page_table.get t.pt vpn in
-            if
-              Vmem.Pte.tag pte = Vmem.Pte.Local
-              && Vmem.Pte.dirty pte
-              && (not (Hashtbl.mem t.wb_inflight vpn))
-              && guide_segments t vpn <> Some []
-            then begin
-              writeback t vpn pte ~then_evict:false;
-              incr scanned
-            end);
-        incr i
-      done;
-      (* Ground truth from a complete scan: nothing dirty (in-flight
-         write-backs were dirty-cleared when posted). *)
-      if !scanned = 0 && !i >= Clock.length t.clock then t.dirty_hint <- 0;
-      if !scanned > 0 then
-        Sim.Engine.sleep t.eng (Sim.Time.ns (!scanned * 120))
+      let scanned = cleaner_pass t in
+      if scanned > 0 then Sim.Engine.sleep t.eng (Sim.Time.ns (scanned * 120))
     end
   done
 
@@ -398,4 +457,4 @@ let release_frame t frame =
   Sim.Condvar.broadcast t.frames_avail
 
 let quiesce t =
-  Sim.Condvar.wait_for t.wb_done (fun () -> Hashtbl.length t.wb_inflight = 0)
+  Sim.Condvar.wait_for t.wb_done (fun () -> Itbl.length t.wb_inflight = 0)

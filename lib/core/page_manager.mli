@@ -54,19 +54,30 @@ val release_frame : t -> int -> unit
     unwinds). *)
 
 val note_mapped : t -> int -> unit
-(** Tell the LRU clock a page just became [Local] at [vpn]. *)
+(** Tell the LRU clock a page just became [Local] at [vpn]. A dirty
+    PTE counts as a clean->dirty transition (see {!note_dirtied}),
+    also when a stale clock entry for [vpn] makes the push a no-op. *)
 
-val note_dirtied : t -> unit
-(** Hint that a resident page just transitioned clean->dirty (the
-    store path calls this; redundant calls are harmless). Gates the
-    periodic cleaner's clock scan so an all-clean resident set costs
-    nothing to re-scan. *)
+val note_dirtied : t -> int -> unit
+(** [note_dirtied t vpn]: the page at [vpn] just went clean->dirty.
+    The kernel's store path must call this on every such transition
+    (redundant calls are harmless; vpns not on the LRU clock are
+    ignored). It gates the periodic cleaner, so an all-clean resident
+    set costs nothing to scan, and pulls the cleaner's clean-prefix
+    cursor back to [vpn]'s clock slot. A missed call cannot lose a
+    store (eviction reads the dirty bit itself) but would delay the
+    page's background write-back. *)
 
 val vector_segments : t -> payload:int -> (int * int) list
 (** Decode an [Action] PTE payload into its logged fetch vector
     (consumed: the log entry is removed). *)
 
 val free_frames : t -> int
+
+val cleaner_probes : t -> int
+(** Host-side diagnostic: clock entries the cleaner has examined so
+    far. Not a {!Sim.Stats} counter, so counter dumps do not show it. *)
+
 val quiesce : t -> unit
 (** Block until no write-back is in flight (used by tests and
     checkpoints). *)

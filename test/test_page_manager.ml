@@ -93,6 +93,59 @@ let cleaner_cleans_in_background () =
         Alcotest.(check bool) "now clean" false (Vmem.Pte.dirty p)
       done)
 
+(* The cleaner resumes at a clean-prefix cursor. A page re-dirtied
+   behind the cursor must pull it back, or the next pass would start
+   past the page and never write it back. (32 frames keep the pool
+   above the reclaimer's low watermark, so nothing is evicted.) *)
+let redirtied_behind_cursor ~redirty () =
+  with_pm ~frames:32 (fun eng stats pt fr pm ->
+      for vpn = 1 to 8 do
+        ignore (map_page pt fr pm vpn ~dirty:true)
+      done;
+      let period = Dilos.Params.cleaner_period in
+      Sim.Engine.sleep eng (Sim.Time.add period (Sim.Time.us 20));
+      check_int "first pass wrote all 8" 8 (Sim.Stats.get stats "writebacks");
+      redirty pt fr pm;
+      Sim.Engine.sleep eng period;
+      let p = Vmem.Page_table.get pt 1 in
+      check_bool "page 1 local" true (Vmem.Pte.tag p = Vmem.Pte.Local);
+      check_bool "page 1 cleaned again" false (Vmem.Pte.dirty p);
+      check_int "one more writeback" 9 (Sim.Stats.get stats "writebacks"))
+
+(* A store through the kernel's hook. *)
+let redirty_by_store pt _fr pm =
+  Vmem.Page_table.update pt 1 Vmem.Pte.set_dirty;
+  Dilos.Page_manager.note_dirtied pm 1
+
+(* Page 1 goes away behind the manager's back (as munmap does), which
+   leaves its clock entry stale, then comes back dirty: the push is a
+   no-op, so only [note_mapped]'s rewind can reach the old slot. *)
+let redirty_by_remap pt fr pm =
+  Vmem.Frame.free fr (Vmem.Pte.frame (Vmem.Page_table.get pt 1));
+  Vmem.Page_table.set pt 1 Vmem.Pte.zero;
+  ignore (map_page pt fr pm 1 ~dirty:true)
+
+(* The cleaner's host work is proportional to the pages it writes,
+   not to local memory times pages written: a sequential dirty fill
+   far larger than the pool must not re-probe the clean resident set
+   on every pass. *)
+let cleaner_work_bounded () =
+  let frames = 1024 in
+  let pages = 16 * frames in
+  with_pm ~frames (fun eng _stats pt _fr pm ->
+      for vpn = 1 to pages do
+        let frame = Dilos.Page_manager.alloc_frame pm in
+        let pte = Vmem.Pte.set_dirty (Vmem.Pte.make_local ~frame ~writable:true) in
+        Vmem.Page_table.set pt vpn pte;
+        Dilos.Page_manager.note_mapped pm vpn;
+        Sim.Engine.sleep eng (Sim.Time.us 2)
+      done;
+      let probes = Dilos.Page_manager.cleaner_probes pm in
+      check_bool
+        (Printf.sprintf "%d probes <= 2 x %d pages" probes pages)
+        true
+        (probes > 0 && probes <= 2 * pages))
+
 let vector_log_roundtrip () =
   let guide =
     {
@@ -153,6 +206,11 @@ let suite =
     quick "dirty pages written back on eviction" dirty_pages_written_back_on_eviction;
     quick "second chance respects accessed bit" second_chance_respects_accessed_bit;
     quick "cleaner cleans in background" cleaner_cleans_in_background;
+    quick "cleaner rewinds for a store behind its cursor"
+      (redirtied_behind_cursor ~redirty:redirty_by_store);
+    quick "cleaner rewinds for a dirty remap of a stale entry"
+      (redirtied_behind_cursor ~redirty:redirty_by_remap);
+    quick "cleaner work bounded by pages written" cleaner_work_bounded;
     quick "vector log roundtrip" vector_log_roundtrip;
     quick "vector log consumed once" vector_log_consumed_once;
   ]
