@@ -204,12 +204,15 @@ let paperscale_targets : (string * (unit -> result)) list =
    - fault path: a read-only sweep over a working set 4x local memory
      with prefetch off, so every measured access is a TLB miss plus a
      remote fetch with eviction pressure behind it. The data path
-     proper is allocation-free; what remains is fiber machinery (each
-     fetch parks the fiber: effect continuations + timer/condvar nodes
-     across several sleeps) — ~580 words/fault as of this commit. The
-     budget has headroom for scheduler tweaks; a closure or record
-     sneaking back into the per-fault path (the pre-Bigbuf engine paid
-     several KB/fault in payload copies alone) still fails loudly.
+     proper, memnode replica walk included, is allocation-free; what
+     remains is fiber machinery (each fetch parks the fiber: effect
+     continuations + timer/condvar nodes across several sleeps) —
+     578 words/fault as of this commit. The budget sits about 10%
+     above that: room for scheduler tweaks, none for a few per-request
+     closures or records creeping back onto the fault path. (One
+     closure-based memnode chunk walk costs ~21 words/fault, so it
+     alone still fits; three of them do not. The pre-Bigbuf engine
+     paid several KB/fault in payload copies alone.)
 
    - hit path: repeated u32 reads of one resident page, all TLB hits.
      This is the tentpole's zero-alloc claim: the only allocation
@@ -221,7 +224,7 @@ let paperscale_targets : (string * (unit -> result)) list =
      3-word box the language guarantees; int-returning accessors are
      the ones the apps' hot loops use.) *)
 
-let alloc_budget_words_per_fault = 1024.
+let alloc_budget_words_per_fault = 640.
 let alloc_budget_words_per_hit = 0.5
 
 let alloc_smoke () =

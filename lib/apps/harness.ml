@@ -173,7 +173,7 @@ let instance_shutdown = function
   | I_fastswap k -> Fastswap.Kernel.shutdown k
   | I_aifm k -> Aifm.Runtime.shutdown k
 
-let run system ~local_mem ?(cores = 1) ?remote_size ?bw_bucket:_ ?fault_spec
+let run system ~local_mem ?(cores = 1) ?remote_size ?fault_spec
     ?(fault_seed = 1) ?(shards = 1) ?(replication = 1) ?obs ?observe f =
   let eng = Sim.Engine.create () in
   (* The Observatory registry must be ambient BEFORE boot: QPs, shards
@@ -188,22 +188,15 @@ let run system ~local_mem ?(cores = 1) ?remote_size ?bw_bucket:_ ?fault_spec
   let faults =
     Option.map (fun spec -> Faults.Plan.make ~seed:fault_seed spec) fault_spec
   in
-  let has_drill =
-    match fault_spec with Some s -> Faults.Spec.has_drill s | None -> false
-  in
   let server =
-    (* The single-node path stays byte-for-byte the old one — the
-       goldens pin it — so replication is engaged only when asked. *)
-    if shards > 1 || replication > 1 || has_drill then
-      Memnode.Server.create_replicated ~eng ~size
-        ~config:
-          {
-            Memnode.Replica_group.default_config with
-            shards = Int.max shards replication;
-            replication;
-          }
-        ?faults ()
-    else Memnode.Server.create ~eng ~size ?faults ()
+    Memnode.Server.create ~eng ~size
+      ~config:
+        {
+          Memnode.Replica_group.default_config with
+          shards = Int.max shards replication;
+          replication;
+        }
+      ?faults ()
   in
   let instance = boot system ~eng ~server ~local_mem ~cores in
   let stats = instance_stats instance in

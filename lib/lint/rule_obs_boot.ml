@@ -1,7 +1,7 @@
 (* R11 obs-boot-only: Observatory handle discipline. The Obs registry
    resolves a (name, labels) pair to a handle by hashing and listing —
    fine once, at boot, where every adopter does it (Qp.create, kernel
-   boot, Replica_group.connect). Calling [Obs.Registry.counter] (or
+   boot, Replica_group.create). Calling [Obs.Registry.counter] (or
    gauge/histogram/probe) on a steady-state path re-runs that
    resolution per event and quietly re-introduces allocation and
    lookup cost the handle design exists to avoid.

@@ -27,8 +27,6 @@ let create ~size =
     resident = 0;
   }
 
-let size t = t.size
-
 let check t addr len =
   if len < 0 then invalid_arg "Page_store: negative length";
   if

@@ -16,8 +16,6 @@ val block_size : int
 val create : size:int64 -> t
 (** [create ~size] serves addresses \[0, size). *)
 
-val size : t -> int64
-
 val read : t -> addr:int64 -> dst:Sim.Bigbuf.t -> off:int -> len:int -> unit
 val write : t -> addr:int64 -> src:Sim.Bigbuf.t -> off:int -> len:int -> unit
 
@@ -39,4 +37,5 @@ val iter_touched : t -> (int -> unit) -> unit
     (deterministic, for resync enumeration). *)
 
 val target : t -> Rdma.Qp.target
-(** The one-sided access interface handed to the RNIC. *)
+(** A bare one-sided access interface over this store alone, for
+    wiring a queue pair to one store without a {!Replica_group}. *)

@@ -42,8 +42,8 @@ type config = {
 
 let default_config =
   {
-    shards = 2;
-    replication = 2;
+    shards = 1;
+    replication = 1;
     granule = 256;
     (* 256 KiB / 100 us = 2.56 GB/s of recovery traffic: fast enough
        that drills finish, slow enough that recovery time is visible
@@ -155,33 +155,29 @@ let replica t vpn i = t.shards.((vpn + i) mod t.cfg.shards)
 let serves s vpn = s.alive && ((not s.syncing) || not (Hashtbl.mem s.missed vpn))
 
 (* First live synced replica of [vpn], recording failover telemetry
-   for every freshly-dead shard the walk has to skip. *)
+   for every freshly-dead shard the walk has to skip. A plain loop:
+   this runs once per data-path chunk and must not allocate. *)
 let serving_replica t vpn addr ~is_read =
-  let rec go i =
-    if i >= t.cfg.replication then raise (Rdma.Qp.Unreachable addr)
-    else begin
-      let s = replica t vpn i in
-      if serves s vpn then begin
-        if i > 0 && is_read then begin
-          scount t (fun h -> h.c_failover_reads);
-          Obs.Registry.cincr s.ob_failover_reads
-        end;
-        s
-      end
-      else begin
-        if s.failover_pending then begin
-          (* First request redirected past this corpse: the gap since
-             the kill is the observed failover latency. *)
-          s.failover_pending <- false;
-          sadd t
-            (fun h -> h.c_failover_ns)
-            (Int64.to_int (Sim.Time.sub (Sim.Engine.now t.eng) s.killed_at))
-        end;
-        go (i + 1)
-      end
-    end
-  in
-  go 0
+  let i = ref 0 in
+  while !i < t.cfg.replication && not (serves (replica t vpn !i) vpn) do
+    let s = replica t vpn !i in
+    if s.failover_pending then begin
+      (* First request redirected past this corpse: the gap since the
+         kill is the observed failover latency. *)
+      s.failover_pending <- false;
+      sadd t
+        (fun h -> h.c_failover_ns)
+        (Int64.to_int (Sim.Time.sub (Sim.Engine.now t.eng) s.killed_at))
+    end;
+    incr i
+  done;
+  if !i >= t.cfg.replication then raise (Rdma.Qp.Unreachable addr);
+  let s = replica t vpn !i in
+  if !i > 0 && is_read then begin
+    scount t (fun h -> h.c_failover_reads);
+    Obs.Registry.cincr s.ob_failover_reads
+  end;
+  s
 
 (* -- kill / recover ----------------------------------------------- *)
 
@@ -332,7 +328,8 @@ let check t addr len =
       (Printf.sprintf "Replica_group: range [0x%Lx,+%d) out of bounds" addr len)
 
 (* Split [addr, addr+len) at page boundaries and apply [f addr off len]
-   to each in-page chunk. *)
+   to each in-page chunk. Only multi-page requests come here; in-page
+   ones (every page-sized segment) take the closure-free path. *)
 let iter_chunks addr len off f =
   let rec go addr off len =
     if len > 0 then begin
@@ -344,16 +341,23 @@ let iter_chunks addr len off f =
   in
   go addr off len
 
+let in_one_page addr len =
+  len > 0 && Int64.to_int (Int64.logand addr 4095L) + len <= page_size
+
+let read_chunk t addr dst off len =
+  let s = serving_replica t (vpn_of addr) addr ~is_read:true in
+  Obs.Registry.cincr s.ob_reads;
+  if Trace.enabled cat_memnode then
+    Trace.instant cat_memnode ~name:"page_read" ~track:s.trk
+      ~args:[ ("len", Trace.I len) ]
+      ();
+  Page_store.read s.store ~addr ~dst ~off ~len
+
 let read t addr dst off len =
   check t addr len;
-  iter_chunks addr len off (fun addr off len ->
-      let s = serving_replica t (vpn_of addr) addr ~is_read:true in
-      Obs.Registry.cincr s.ob_reads;
-      if Trace.enabled cat_memnode then
-        Trace.instant cat_memnode ~name:"page_read" ~track:s.trk
-          ~args:[ ("len", Trace.I len) ]
-          ();
-      Page_store.read s.store ~addr ~dst ~off ~len)
+  if in_one_page addr len then read_chunk t addr dst off len
+  else
+    iter_chunks addr len off (fun addr off len -> read_chunk t addr dst off len)
 
 (* One in-page write chunk: diff against the authoritative copy in
    granule units, apply only dirty runs to every live synced replica,
@@ -376,13 +380,9 @@ let write_chunk t addr src off len =
     (* Current authoritative bytes of the written span, as diff base. *)
     Page_store.read auth.store ~addr ~dst:t.scratch ~off:start ~len;
     let copies = ref 0 in
-    let rec count_serving i =
-      if i < t.cfg.replication then begin
-        if serves (replica t vpn i) vpn then incr copies;
-        count_serving (i + 1)
-      end
-    in
-    count_serving 0;
+    for i = 0 to t.cfg.replication - 1 do
+      if serves (replica t vpn i) vpn then incr copies
+    done;
     let dirty_bytes = ref 0 and dirty_runs = ref 0 in
     let apply_run p0 p1 =
       (* [p0, p1): a maximal run of dirty granules, clipped to the
@@ -392,16 +392,12 @@ let write_chunk t addr src off len =
       dirty_bytes := !dirty_bytes + (p1 - p0);
       let run_addr = Int64.add page_base (Int64.of_int p0) in
       let run_off = off + (p0 - start) in
-      let rec put i =
-        if i < t.cfg.replication then begin
-          let s = replica t vpn i in
-          if serves s vpn then
-            Page_store.write s.store ~addr:run_addr ~src ~off:run_off
-              ~len:(p1 - p0);
-          put (i + 1)
-        end
-      in
-      put 0
+      for i = 0 to t.cfg.replication - 1 do
+        let s = replica t vpn i in
+        if serves s vpn then
+          Page_store.write s.store ~addr:run_addr ~src ~off:run_off
+            ~len:(p1 - p0)
+      done
     in
     let fin = start + len in
     let g_first = start / g and g_last = (fin - 1) / g in
@@ -444,7 +440,10 @@ let write_chunk t addr src off len =
 
 let write t addr src off len =
   check t addr len;
-  iter_chunks addr len off (fun addr off len -> write_chunk t addr src off len)
+  if in_one_page addr len then write_chunk t addr src off len
+  else
+    iter_chunks addr len off (fun addr off len ->
+        write_chunk t addr src off len)
 
 let target t =
   {

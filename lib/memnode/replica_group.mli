@@ -25,8 +25,8 @@ type config = {
 }
 
 val default_config : config
-(** 2 shards, replication 2, 256 B granules, 256 KiB / 100 us of
-    resync bandwidth. *)
+(** 1 shard, replication 1 (the paper's single memory node), 256 B
+    granules, 256 KiB / 100 us of resync bandwidth. *)
 
 val create :
   eng:Sim.Engine.t ->

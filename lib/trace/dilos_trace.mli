@@ -33,7 +33,7 @@ val enabled : cat -> bool
 (** {1 Tracks}
 
     A track is one horizontal timeline row in the viewer (a Perfetto
-    "thread"): e.g. ["cpu0"], ["nic"], ["memnode"]. *)
+    "thread"): e.g. ["cpu0"], ["nic"], ["memnode/shard0"]. *)
 
 val track : string -> int
 (** Intern a track by name (idempotent); returns its id. *)

@@ -341,21 +341,35 @@ let test_matrix_reconciles () =
     (Lazy.force matrix)
 
 let test_matrix_shard_labels () =
-  (* Per-shard labeled series must survive into the registry view. *)
-  let o = find "flaky-kill" in
-  let fams = Obs.Registry.families o.Apps.Observatory.o_registry in
-  let reads =
-    List.find (fun f -> f.Obs.Registry.f_name = "repl_shard_reads") fams
-  in
-  let shards =
-    List.map
-      (fun s ->
-        match List.assoc_opt "shard" s.Obs.Registry.s_labels with
-        | Some v -> v
-        | None -> "?")
-      reads.Obs.Registry.f_series
-  in
-  Alcotest.(check (list string)) "one series per shard" [ "0"; "1" ] shards
+  (* Per-shard labeled series must survive into the registry view, with
+     the same schema on the replicated scenario and on the single
+     memnode of [overload]. *)
+  List.iter
+    (fun (scenario, expected) ->
+      let o = find scenario in
+      let fams = Obs.Registry.families o.Apps.Observatory.o_registry in
+      let reads =
+        List.find (fun f -> f.Obs.Registry.f_name = "repl_shard_reads") fams
+      in
+      let shards =
+        List.map
+          (fun s ->
+            match List.assoc_opt "shard" s.Obs.Registry.s_labels with
+            | Some v -> v
+            | None -> "?")
+          reads.Obs.Registry.f_series
+      in
+      Alcotest.(check (list string))
+        (scenario ^ ": one series per shard")
+        expected shards;
+      List.iter
+        (fun s ->
+          match s.Obs.Registry.s_value () with
+          | Obs.Registry.V n ->
+              check_bool (scenario ^ ": shard served reads") true (n > 0)
+          | Obs.Registry.H _ -> Alcotest.fail "repl_shard_reads is a counter")
+        reads.Obs.Registry.f_series)
+    [ ("flaky-kill", [ "0"; "1" ]); ("overload", [ "0" ]) ]
 
 let test_report_byte_identity () =
   let system = Apps.Harness.Dilos Dilos.Kernel.Readahead in
